@@ -15,7 +15,7 @@ import hashlib
 import io
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
 import numpy as np
@@ -25,25 +25,25 @@ from .analysis import canonical_transversal
 from .closure import compute_closure, validate_assumptions
 from .errors import BudgetError, DomainError
 from .factory import (
-    DispatchTable,
+    TablePlan,
     build_dispatch,
+    check_cells,
     draw_values,
     mix,
     orbit_index,
-    patterns_of_arity,
 )
 from .params import (
-    Parameters,
     asymptotic_table,
     fixed_subalgebra_probability,
     idemprimality_verdict,
     p_of_k,
     parameters,
 )
-from .terms import SystemSpec, pattern_of, render_system
+from .terms import Signature, SystemSpec, pattern_of, render_system
 
 MAX_N = 64
 MAX_SAMPLES = 1_000_000
+MAX_THREADS = 64
 _WILSON_Z = 1.959963984540054  # 95% two-sided normal quantile
 
 KNOWN_PROPERTIES = ("subalg2", "subalg3", "subalgGT1", "automorphism",
@@ -64,11 +64,19 @@ class Experiment:
             raise BudgetError(f"samples must be in 1..{MAX_SAMPLES}")
         if self.n < 1 or self.n > MAX_N:
             raise BudgetError(f"n must be in 1..{MAX_N}")
+        if self.threads < 1 or self.threads > MAX_THREADS:
+            raise BudgetError(f"threads must be in 1..{MAX_THREADS}")
         if not self.properties:
             raise DomainError("at least one property required")
         for p in self.properties:
-            base = p.split("=", 1)[0]
-            if base not in KNOWN_PROPERTIES and base != "fixedB":
+            name = p.split("=", 1)[0]
+            if name == "fixedB":
+                if any(e >= self.n for e in parse_fixed_b(p)):
+                    raise DomainError(f"{p}: elements must be in "
+                                      f"0..{self.n - 1}")
+            elif name == "minority2":
+                _designated_ternary(self.system.signature, p)
+            elif p not in KNOWN_PROPERTIES:
                 raise DomainError(f"unknown property {p!r}")
         if "idemprimal" in self.properties and self.n < 3:
             raise DomainError("idemprimality census needs n >= 3")
@@ -105,14 +113,14 @@ def wilson_interval(successes: int, total: int) -> tuple[float, float]:
 
 
 def parse_fixed_b(prop: str) -> tuple[int, ...]:
-    """fixedB=<elems>, elements joined by '+': fixedB=0+1."""
-    body = prop.split("=", 1)[1]
+    """fixedB=<elems>, non-negative elements joined by '+': fixedB=0+1."""
+    body = prop.partition("=")[2]
     try:
         elems = tuple(sorted({int(x) for x in body.split("+")}))
     except ValueError:
         raise DomainError(f"cannot parse element list in {prop!r}") from None
-    if not elems:
-        raise DomainError("fixedB needs at least one element")
+    if any(e < 0 for e in elems):
+        raise DomainError(f"negative element in {prop!r}")
     return elems
 
 
@@ -148,59 +156,23 @@ class CensusEngine:
 
 
 class _NContext:
-    """Index arrays for one carrier size: flat draw positions per orbit
-    key, the table realizer, and per-property gather arrays."""
+    """Index arrays for one carrier size: the draw layout (OrbitIndex),
+    the table plan, and per-property gather arrays."""
 
     def __init__(self, engine: CensusEngine, n: int):
+        check_cells(engine.spec.signature, n)
         self.engine = engine
         self.n = n
         self.oi = orbit_index(engine.transversal, n)
         self.total_draws = self.oi.total
-        # global flat position of each orbit key
-        self.pos: list[dict | None] = [None]
-        offset = 0
-        for keys in self.oi.keys[1:]:
-            self.pos.append({k: offset + j for j, k in enumerate(keys)})
-            offset += len(keys)
-        self._realizer = None
         self._cache: dict = {}
 
-    # -- realizer -------------------------------------------------------
-
-    def realizer(self):
-        """Per symbol: (POS array into the flat draws, var-cell mask,
-        var-cell values); table = flat[POS], then var cells overwritten."""
-        if self._realizer is not None:
-            return self._realizer
-        eng, n = self.engine, self.n
-        sig = eng.spec.signature
-        out = []
-        for sym in range(len(sig)):
-            d = sig.arity(sym)
-            size = n ** d
-            POS = np.zeros(size, dtype=np.int64)
-            var_mask = np.zeros(size, dtype=bool)
-            var_vals = np.zeros(size, dtype=np.int64)
-            rules = eng.dispatch.rules[sym]
-            for idx, a in enumerate(product(range(n), repeat=d)):
-                entry, sigma = rules[pattern_of(a).labels]
-                if entry == 0:
-                    var_mask[idx] = True
-                    var_vals[idx] = a[sigma[0] - 1]
-                else:
-                    key = self.oi.canonical(entry, tuple(a[s - 1] for s in sigma))
-                    POS[idx] = self.pos[entry][key]
-            out.append((POS, var_mask, var_vals, d))
-        self._realizer = out
-        return out
+    def realizer(self) -> TablePlan:
+        """The dispatch table's gather plan at this carrier size."""
+        return self.engine.dispatch.plan(self.n)
 
     def realize_np(self, flat: np.ndarray):
-        tabs = []
-        for POS, var_mask, var_vals, d in self.realizer():
-            table = flat[POS]
-            table[var_mask] = var_vals[var_mask]
-            tabs.append((table, d))
-        return tabs
+        return self.realizer().tables(flat)
 
     # -- family-level index arrays ---------------------------------------
 
@@ -213,12 +185,8 @@ class _NContext:
         if key not in self._cache:
             positions = []
             for ei, e in enumerate(self.engine.transversal.entries[1:], start=1):
-                if e.d > len(B):
-                    continue
-                seen = set()
-                for u in permutations(B, e.d):
-                    seen.add(self.oi.canonical(ei, u))
-                positions.extend(self.pos[ei][k] for k in sorted(seen))
+                positions.extend(sorted({self.oi.position(ei, u)
+                                         for u in permutations(B, e.d)}))
             self._cache[key] = (np.array(positions, dtype=np.int64),
                                 np.array(sorted(B), dtype=np.int64))
         return self._cache[key]
@@ -232,9 +200,8 @@ class _NContext:
             for a, b in pairs:
                 row = []
                 for ei in self._binary_entries():
-                    keys = {self.oi.canonical(ei, (a, b)),
-                            self.oi.canonical(ei, (b, a))}
-                    row.extend(self.pos[ei][k] for k in sorted(keys))
+                    row.extend(sorted({self.oi.position(ei, (a, b)),
+                                       self.oi.position(ei, (b, a))}))
                 cols.append(row)
             P = np.array(cols, dtype=np.int64) if cols and cols[0] else \
                 np.zeros((len(pairs), 0), dtype=np.int64)
@@ -252,12 +219,8 @@ class _NContext:
             for sub in triples:
                 row = []
                 for ei, e in enumerate(self.engine.transversal.entries[1:], start=1):
-                    if e.d > 3:
-                        continue
-                    seen = set()
-                    for u in permutations(sub, e.d):
-                        seen.add(self.oi.canonical(ei, u))
-                    row.extend(self.pos[ei][k] for k in sorted(seen))
+                    row.extend(sorted({self.oi.position(ei, u)
+                                       for u in permutations(sub, e.d)}))
                 cols.append(row)
             P = np.array(cols, dtype=np.int64) if cols and cols[0] else \
                 np.zeros((len(triples), 0), dtype=np.int64)
@@ -279,12 +242,12 @@ class _NContext:
                 frow, vrow = [], []
                 for ei, key01, req01 in forced:
                     actual = tuple(a if x == 0 else b for x in key01)
-                    frow.append(self.pos[ei][self.oi.canonical(ei, actual)])
+                    frow.append(self.oi.position(ei, actual))
                     vrow.append(a if req01 == 0 else b)
                 mrow = []
                 for ei, key01 in member:
                     actual = tuple(a if x == 0 else b for x in key01)
-                    mrow.append(self.pos[ei][self.oi.canonical(ei, actual)])
+                    mrow.append(self.oi.position(ei, actual))
                 fpos.append(frow)
                 fval.append(vrow)
                 mpos.append(mrow)
@@ -308,10 +271,8 @@ def _minority_symbolic(engine: CensusEngine, symbol: int):
     sig = engine.spec.signature
     if sig.arity(symbol) != 3:
         raise DomainError("minority2 needs a ternary designated symbol")
-    group_of = {i: e.group.elements for i, e in enumerate(engine.transversal.entries)}
-
-    def canon(entry, u):
-        return min(tuple(u[p - 1] for p in g) for g in group_of[entry])
+    # orbit keys over the symbolic pair {0, 1}
+    canon = orbit_index(engine.transversal, 2).canonical
 
     forced: dict[tuple, int] = {}
     member: set[tuple] = set()
@@ -379,10 +340,7 @@ class _SampleEval:
     def _evaluate(self, prop: str) -> bool:
         ctx, n, flat = self.ctx, self.ctx.n, self.flat
         if prop.startswith("fixedB="):
-            B_elems = parse_fixed_b(prop)
-            if any(e >= n or e < 0 for e in B_elems):
-                raise DomainError(f"fixedB elements out of range for n={n}")
-            positions, B = ctx.fixed_b_arrays(B_elems)
+            positions, B = ctx.fixed_b_arrays(parse_fixed_b(prop))
             if len(positions) == 0:
                 return True
             return bool(np.isin(flat[positions], B).all())
@@ -428,7 +386,7 @@ class _SampleEval:
                     and not self.evaluate("automorphism")
                     and not self.evaluate("cross"))
         if prop == "minority2" or prop.startswith("minority2="):
-            symbol = _designated_ternary(ctx.engine.spec, prop)
+            symbol = _designated_ternary(ctx.engine.spec.signature, prop)
             feasible, FP, FV, MP, A, B = ctx.minority_arrays(symbol)
             if not feasible:
                 return False
@@ -442,12 +400,16 @@ class _SampleEval:
         raise DomainError(f"unknown property {prop!r}")
 
 
-def _designated_ternary(spec: SystemSpec, prop: str) -> int:
-    if "=" in prop:
-        return spec.signature.index(prop.split("=", 1)[1])
-    for sym in range(len(spec.signature)):
-        if spec.signature.arity(sym) == 3:
+def _designated_ternary(sig: Signature, prop: str) -> int:
+    """The symbol minority2[=name] designates: the named one, which must be
+    ternary, or else the first ternary symbol."""
+    name = prop.partition("=")[2]
+    for sym, (nm, ar) in enumerate(sig.symbols):
+        if ar == 3 and (not name or nm == name):
             return sym
+    if name:
+        raise DomainError(f"{prop}: {name!r} is not a ternary symbol of "
+                          "the system")
     raise DomainError("minority2 needs a ternary symbol in the signature")
 
 
@@ -502,7 +464,7 @@ def theory_for(engine: CensusEngine, prop: str, n: int):
     if prop == "idemprimal":
         return "asymptotic", idemprimality_verdict(params).limit_probability
     if prop == "minority2" or prop.startswith("minority2="):
-        symbol = _designated_ternary(engine.spec, prop)
+        symbol = _designated_ternary(engine.spec.signature, prop)
         single = minority_pair_probability(engine, symbol, n)
         return "exact_finite_n", 1.0 - (1.0 - single) ** math.comb(n, 2)
     return "none", None
@@ -529,7 +491,7 @@ def run_census(experiment: Experiment, engine: CensusEngine | None = None) -> Ce
         ctx.triple_arrays()
     for p in props:
         if p == "minority2" or p.startswith("minority2="):
-            ctx.minority_arrays(_designated_ternary(engine.spec, p))
+            ctx.minority_arrays(_designated_ternary(engine.spec.signature, p))
         if p.startswith("fixedB="):
             ctx.fixed_b_arrays(parse_fixed_b(p))
 

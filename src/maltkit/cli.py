@@ -205,6 +205,7 @@ def cmd_sample(args) -> int:
     closure = compute_closure(spec, max_vars=args.max_vars)
     trans = canonical_transversal(closure)
     dispatch = factory.build_dispatch(closure, trans, spec.signature)
+    factory.check_cells(spec.signature, args.n)
     with _out_stream(args) as fh:
         for i in range(args.count):
             fam = factory.sample_mfamily(trans, args.n, factory.mix(seed, i))
@@ -224,7 +225,7 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
-def _check_one(alg, spec, prop: str):
+def _check_one(alg, prop: str):
     if prop == "subalg2":
         for a in range(alg.n):
             for b in range(a + 1, alg.n):
@@ -250,27 +251,23 @@ def _check_one(alg, spec, prop: str):
         r = checkers.is_idemprimal(alg)
         return r.holds, r.witness
     if prop.startswith("minority2"):
-        sym = census_mod._designated_ternary(spec, prop) if spec is not None \
-            else _first_ternary(alg)
+        sym = census_mod._designated_ternary(alg.signature, prop)
         r = checkers.has_minority_two_subalgebra(alg, sym)
         return r.holds, list(r.witness) if r.holds else None
     if prop.startswith("fixedB="):
         B = census_mod.parse_fixed_b(prop)
+        if any(e >= alg.n for e in B):
+            raise DomainError(f"{prop}: elements must be in 0..{alg.n - 1}")
         r = checkers.is_subuniverse(alg, B)
         return r.holds, None if r.holds else list(map(int, r.witness[1]))
     raise ParseError(f"unknown property {prop!r}")
 
 
-def _first_ternary(alg):
-    for i, (_, ar) in enumerate(alg.signature.symbols):
-        if ar == 3:
-            return i
-    raise DomainError("no ternary symbol for minority2")
-
-
 def cmd_check(args) -> int:
-    text = Path(args.algebra).read_text()
-    alg = factory.algebra_from_json(text)
+    path = Path(args.algebra)
+    if not path.is_file():
+        raise ParseError(f"no such algebra file: {args.algebra}")
+    alg = factory.algebra_from_json(path.read_text())
     spec = _load_system(args.system) if args.system else None
     if spec is not None:
         ok, witness = factory.validate_model(spec, alg)
@@ -279,7 +276,7 @@ def cmd_check(args) -> int:
                               f"identity {witness[0]} fails at {witness[1]}")
     for prop in args.property.split(","):
         prop = prop.strip()
-        holds, witness = _check_one(alg, spec, prop)
+        holds, witness = _check_one(alg, prop)
         obj = {"property": prop, "holds": holds}
         if witness is not None:
             obj["witness"] = witness
@@ -295,10 +292,10 @@ def cmd_census(args) -> int:
     seed = _require_seed(args)
     spec = _load_system(args.system)
     props = tuple(p.strip() for p in args.property.split(","))
-    engine = census_mod.CensusEngine(spec, max_vars=args.max_vars)
     exp = census_mod.Experiment(system=spec, n=args.n, num_samples=args.samples,
                                 master_seed=seed, properties=props,
                                 threads=args.threads)
+    engine = census_mod.CensusEngine(spec, max_vars=args.max_vars)
     report = census_mod.run_census(exp, engine=engine)
     if args.output:
         with open(args.output, "w", newline="") as fh:

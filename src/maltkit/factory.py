@@ -3,25 +3,28 @@ family data, realization as operation tables, and the inverse extraction.
 
 A model on [n] is equivalent to a family (h_i), one function per
 transversal entry i >= 1, where h_i assigns a value in [n] to every
-G_i-orbit of injective d_i-tuples, independently and freely.  Operation
-tables are reconstructed cell by cell: the argument tuple's pattern picks
-a transversal entry and a coordinate selector sigma, and the cell value is
-h_i at the selected injective tuple (or the selected argument itself for
-the variable entry)."""
+G_i-orbit of injective d_i-tuples, independently and freely.  OrbitIndex
+lays the family out flat, in draw order.  One TablePlan per (dispatch, n)
+serves sampling, enumeration and the census: it maps each table cell, by
+the transversal entry and selector sigma of its argument pattern, to the
+flat position of h_i at the selected injective tuple (or to the selected
+argument itself for the variable entry)."""
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-import threading
 from dataclasses import dataclass
 from itertools import permutations, product
+from operator import itemgetter
 
 import numpy as np
 
 from .analysis import Transversal, canonical_transversal
 from .closure import ClosurePartition, compute_closure
-from .errors import BudgetError, DomainError
+from .errors import BudgetError, DomainError, ParseError
+from .params import p_of_k, parameters
 from .terms import LinearTerm, Signature, SystemSpec, pattern_of
 
 DEFAULT_MAX_CELLS = 100_000_000
@@ -83,9 +86,6 @@ class MFamily:
     n: int
     values: tuple[dict | None, ...]
 
-    def draw_count(self) -> int:
-        return sum(len(v) for v in self.values if v is not None)
-
 
 class DispatchTable:
     """Per symbol and argument pattern: the transversal entry hit and the
@@ -96,6 +96,13 @@ class DispatchTable:
         self.spec = spec
         self.transversal = transversal
         self.rules = rules  # symbol -> pattern labels -> (entry index, sigma)
+        self._plans: dict[int, TablePlan] = {}
+
+    def plan(self, n: int) -> "TablePlan":
+        """The gather plan at carrier size n, built once per table."""
+        if n not in self._plans:
+            self._plans[n] = TablePlan(self, n)
+        return self._plans[n]
 
 
 def build_dispatch(closure: ClosurePartition, transversal: Transversal,
@@ -143,41 +150,36 @@ def build_dispatch(closure: ClosurePartition, transversal: Transversal,
 
 
 class OrbitIndex:
-    """Canonical orbit keys for every entry at a fixed carrier size, in the
-    deterministic draw order: entries in transversal order, keys in
-    lexicographic order."""
+    """The draw layout at a fixed carrier size: per entry i >= 1, the flat
+    position of every canonical orbit key (the lex-least injective tuple
+    under G_i).  Entries come in transversal order and keys in
+    lexicographic order, so positions 0..total-1 are the draw order."""
 
     def __init__(self, transversal: Transversal, n: int):
-        self.transversal = transversal
-        self.n = n
-        self.keys: list[list[tuple[int, ...]] | None] = [None]
-        for e in transversal.entries[1:]:
-            group = e.group.elements
-            seen = set()
-            for u in permutations(range(n), e.d):
-                seen.add(min(tuple(u[p - 1] for p in g) for g in group))
-            self.keys.append(sorted(seen))
-        self.total = sum(len(k) for k in self.keys if k is not None)
+        # entries i >= 1 have d_i >= 2, so each getter yields a tuple
+        self._group_getters = [None] + [
+            [itemgetter(*(p - 1 for p in g)) for g in e.group.elements]
+            for e in transversal.entries[1:]]
+        self.pos: list[dict[tuple[int, ...], int] | None] = [None]
+        offset = 0
+        for ei, e in enumerate(transversal.entries[1:], start=1):
+            keys = sorted({self.canonical(ei, u)
+                           for u in permutations(range(n), e.d)})
+            self.pos.append({k: offset + j for j, k in enumerate(keys)})
+            offset += len(keys)
+        self.total = offset
 
     def canonical(self, entry: int, u: tuple[int, ...]) -> tuple[int, ...]:
-        group = self.transversal.entries[entry].group.elements
-        return min(tuple(u[p - 1] for p in g) for g in group)
+        return min(g(u) for g in self._group_getters[entry])
+
+    def position(self, entry: int, u: tuple[int, ...]) -> int:
+        """Flat draw position of the orbit of the injective tuple u."""
+        return self.pos[entry][self.canonical(entry, u)]
 
 
-_orbit_cache: dict[tuple, OrbitIndex] = {}
-_orbit_lock = threading.Lock()
-
-
+@functools.lru_cache(maxsize=None)
 def orbit_index(transversal: Transversal, n: int) -> OrbitIndex:
-    key = (transversal, n)
-    with _orbit_lock:
-        cached = _orbit_cache.get(key)
-    if cached is not None:
-        return cached
-    oi = OrbitIndex(transversal, n)
-    with _orbit_lock:
-        _orbit_cache.setdefault(key, oi)
-    return oi
+    return OrbitIndex(transversal, n)
 
 
 def draw_values(seed: int, n: int, count: int) -> np.ndarray:
@@ -192,39 +194,72 @@ def sample_mfamily(transversal: Transversal, n: int, seed: int) -> MFamily:
     if n < 1:
         raise DomainError("n must be positive")
     oi = orbit_index(transversal, n)
-    flat = draw_values(seed, n, oi.total)
-    values: list[dict | None] = [None]
-    pos = 0
-    for keys in oi.keys[1:]:
-        values.append({k: int(flat[pos + j]) for j, k in enumerate(keys)})
-        pos += len(keys)
-    return MFamily(n, tuple(values))
+    flat = draw_values(seed, n, oi.total).tolist()
+    return MFamily(n, (None,) + tuple({k: flat[p] for k, p in pos.items()}
+                                      for pos in oi.pos[1:]))
 
 
-def realize(dispatch: DispatchTable, mfamily: MFamily, *,
-            max_cells: int = DEFAULT_MAX_CELLS) -> FiniteAlgebra:
-    """Fill every table cell from the family via the dispatch rule."""
-    n = mfamily.n
-    sig = dispatch.spec.signature
-    oi = orbit_index(dispatch.transversal, n) if n > 1 else None
-    tables = []
-    for sym in range(len(sig)):
-        d = sig.arity(sym)
-        if n ** d > max_cells:
-            raise BudgetError(
-                f"table for {sig.name(sym)} needs {n ** d} cells "
-                f"(budget {max_cells})")
-        rules = dispatch.rules[sym]
-        table = []
-        for a in product(range(n), repeat=d):
-            entry, sigma = rules[pattern_of(a).labels]
-            if entry == 0:
-                table.append(a[sigma[0] - 1])
-            else:
-                u = tuple(a[s - 1] for s in sigma)
-                table.append(mfamily.values[entry][oi.canonical(entry, u)])
-        tables.append(tuple(table))
-    return FiniteAlgebra(n, sig, tuple(tables))
+def check_cells(sig: Signature, n: int) -> None:
+    """Raise BudgetError if the tables on [n] need over DEFAULT_MAX_CELLS
+    cells in all; checked before anything whose size grows with n."""
+    cells = sum(n ** ar for _, ar in sig.symbols)
+    if cells > DEFAULT_MAX_CELLS:
+        name, ar = max(sig.symbols, key=lambda s: s[1])
+        raise BudgetError(f"tables at n={n} need {cells} cells, {n ** ar} of "
+                          f"them for {name} (budget {DEFAULT_MAX_CELLS})")
+
+
+class TablePlan:
+    """The compiled realizer for one (dispatch, n).  Per symbol: the flat
+    draw position behind every table cell (row-major), and the cells the
+    variable entry fills, with the argument each one selects.  A table is
+    flat[pos] with those cells overwritten."""
+
+    def __init__(self, dispatch: DispatchTable, n: int):
+        sig = dispatch.spec.signature
+        check_cells(sig, n)
+        self.n = n
+        self.signature = sig
+        self.oi = oi = orbit_index(dispatch.transversal, n)
+        self.symbols = []
+        for sym in range(len(sig)):
+            d = sig.arity(sym)
+            # pattern -> (entry, picker of the selected argument(s))
+            rules = {mu: (entry, itemgetter(*(s - 1 for s in sigma)))
+                     for mu, (entry, sigma) in dispatch.rules[sym].items()}
+            pos = np.zeros(n ** d, dtype=np.int64)
+            var_idx, var_arg = [], []
+            for idx, a in enumerate(product(range(n), repeat=d)):
+                entry, pick = rules[pattern_of(a).labels]
+                if entry == 0:
+                    var_idx.append(idx)
+                    var_arg.append(pick(a))
+                else:
+                    pos[idx] = oi.position(entry, pick(a))
+            self.symbols.append((pos, np.array(var_idx, dtype=np.int64),
+                                 np.array(var_arg, dtype=np.int64), d))
+
+    def tables(self, flat: np.ndarray) -> list[tuple[np.ndarray, int]]:
+        """[(table, arity)] per symbol for the family laid out in flat."""
+        out = []
+        for pos, var_idx, var_arg, d in self.symbols:
+            # with no draws at all, every cell is a variable cell
+            table = flat[pos] if self.oi.total else np.empty_like(pos)
+            table[var_idx] = var_arg
+            out.append((table, d))
+        return out
+
+    def algebra(self, flat: np.ndarray) -> FiniteAlgebra:
+        return FiniteAlgebra(self.n, self.signature, tuple(
+            tuple(table.tolist()) for table, _ in self.tables(flat)))
+
+
+def realize(dispatch: DispatchTable, mfamily: MFamily) -> FiniteAlgebra:
+    """Lay the family out in draw order and gather its tables."""
+    plan = dispatch.plan(mfamily.n)
+    flat = [mfamily.values[ei][k] for ei, pos in enumerate(plan.oi.pos)
+            if pos is not None for k in pos]
+    return plan.algebra(np.array(flat, dtype=np.int64))
 
 
 def extract_mfamily(transversal: Transversal, algebra: FiniteAlgebra,
@@ -242,7 +277,7 @@ def extract_mfamily(transversal: Transversal, algebra: FiniteAlgebra,
     for ei, e in enumerate(transversal.entries[1:], start=1):
         rep = e.rep
         vals = {}
-        for key in oi.keys[ei]:
+        for key in oi.pos[ei]:
             # rep's variables are x_1..x_d; key supplies their values
             args = tuple(key[v - 1] for v in rep.args)
             vals[key] = algebra.value(rep.symbol, args)
@@ -273,24 +308,21 @@ def enumerate_models(spec: SystemSpec, n: int, backend: str = "family", *,
     """Yield every model on [n].  The family backend iterates value
     assignments to orbit keys; the brute backend filters all tables by
     validation.  Both produce the same set."""
+    if n < 1:
+        raise DomainError("n must be positive")
     sig = spec.signature
     if backend == "family":
         if closure is None:
             closure = compute_closure(spec)
         transversal = canonical_transversal(closure)
-        dispatch = build_dispatch(closure, transversal)
-        oi = orbit_index(transversal, n)
-        if oi.total * math.log2(max(n, 2)) > 24:
+        draws = p_of_k(parameters(transversal), n)
+        if draws * math.log2(max(n, 2)) > 24:
             raise BudgetError(
-                f"family enumeration of n^{oi.total} models at n={n} "
+                f"family enumeration of n^{draws} models at n={n} "
                 "exceeds the ~16M budget")
-        flat_keys = [(ei, k) for ei, keys in enumerate(oi.keys[1:], start=1)
-                     for k in keys]
-        for combo in product(range(n), repeat=len(flat_keys)):
-            values: list[dict | None] = [None] + [dict() for _ in transversal.entries[1:]]
-            for (ei, k), v in zip(flat_keys, combo):
-                values[ei][k] = v
-            yield realize(dispatch, MFamily(n, tuple(values)))
+        plan = build_dispatch(closure, transversal).plan(n)
+        for combo in product(range(n), repeat=draws):
+            yield plan.algebra(np.array(combo, dtype=np.int64))
     elif backend == "brute":
         cells = sum(n ** ar for _, ar in sig.symbols)
         if cells * math.log2(max(n, 2)) > 24:
@@ -327,21 +359,24 @@ def algebra_to_json(algebra: FiniteAlgebra) -> str:
 
 
 def algebra_from_json(text: str) -> FiniteAlgebra:
-    doc = json.loads(text)
     try:
+        doc = json.loads(text)
         n = int(doc["n"])
-        ops = doc["operations"]
-    except (KeyError, TypeError):
-        raise DomainError("algebra document needs 'n' and 'operations'") from None
-    symbols = []
-    tables = []
-    for name, body in ops.items():
-        arity = int(body["arity"])
-        table = tuple(int(v) for v in body["table"])
+        symbols = []
+        tables = []
+        for name, body in doc["operations"].items():
+            symbols.append((name, int(body["arity"])))
+            tables.append(tuple(int(v) for v in body["table"]))
+        sig = Signature(tuple(symbols))
+    except KeyError as exc:
+        raise ParseError(f"algebra document lacks {exc}") from None
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ParseError(f"malformed algebra document: {exc}") from None
+    if n < 1:
+        raise DomainError("algebra needs n >= 1")
+    for (name, arity), table in zip(symbols, tables):
         if len(table) != n ** arity:
             raise DomainError(f"table for {name!r} has wrong length")
         if any(not 0 <= v < n for v in table):
             raise DomainError(f"table for {name!r} has out-of-range values")
-        symbols.append((name, arity))
-        tables.append(table)
-    return FiniteAlgebra(n, Signature(tuple(symbols)), tuple(tables))
+    return FiniteAlgebra(n, sig, tuple(tables))

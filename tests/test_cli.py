@@ -1,7 +1,10 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
+from maltkit import census, factory
 from maltkit.cli import main
 
 
@@ -141,3 +144,122 @@ def test_builtin_command(capsys):
 def test_bad_seed_format(maltsev_file):
     assert main(["sample", maltsev_file, "-n", "4", "--seed", "banana"]) == 2
     assert main(["sample", maltsev_file, "-n", "4", "--seed", "-3"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# pinned outputs, budgets and input errors
+
+SYSTEMS_DIR = Path(__file__).resolve().parent.parent / "src" / "maltkit" / "systems"
+
+# SHA-256 of stdout, recorded before the table realizers were merged into
+# one gather plan; sample and census output must never change
+PINNED_OUTPUTS = [
+    ("sample maltsev -n 4 --seed 7 --count 3",
+     "ac217aaf38e67a09b429cd88d312bda234b3360950d517d13e09d9b391f94b3d"),
+    ("sample commutative-maltsev -n 5 --seed 11 --count 4",
+     "aaec475128ce8278d2ea862f7f65e3f0250eecb7943db74774ec7b75ff13a560"),
+    ("sample hagemann-mitschke-3 -n 3 --seed 2 --count 2",
+     "2ad3175d305936e096a04870934b42b1608ec26269ac948054fcb0d991596c3b"),
+    ("sample near-unanimity-4 -n 3 --seed 0x2a --count 2",
+     "74bd6521dd6ba12c0d47d79a327e05b73a46e167a97187ea42291c39b1bdf132"),
+    ("census maltsev -n 6 --samples 200 --seed 3 --property subalg2,subalg3,"
+     "subalgGT1,automorphism,cross,idemprimal,minority2,fixedB=0+1",
+     "9c8b9048ceab8231e977d4673af0b0db2e8a0434b5c952f99a91757d339b4943"),
+    ("census hagemann-mitschke-3 -n 5 --samples 60 --seed 9 "
+     "--property subalg2,subalgGT1,idemprimal,fixedB=0+1+2",
+     "b3fce2088ab8314aed15f3e84a541a52f6494e09cb28704041f493e6156322ad"),
+    ("census majority -n 4 --samples 100 --seed 12345 "
+     "--property subalg2,subalg3,automorphism,cross --threads 3",
+     "a7dde62fe22a0e9931b1dbb8120ab6ee5720fe47e3c7f7d5c85f987486535abd"),
+]
+
+
+def fixture_argv(command: str) -> list[str]:
+    cmd, system, *rest = command.split()
+    return [cmd, str(SYSTEMS_DIR / f"{system}.mlt"), *rest]
+
+
+def assert_one_line_error(err: str):
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command,digest", PINNED_OUTPUTS)
+def test_pinned_output_digests(command, digest, capsys):
+    assert main(fixture_argv(command)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command", [
+    "census near-unanimity-5 -n 64 --samples 10 --seed 1 --property subalg2",
+    "sample near-unanimity-5 -n 64 --seed 1",
+    "enumerate maltsev -n 50",
+])
+def test_budget_checked_before_orbit_index(command, monkeypatch, capsys):
+    def no_orbit_index(*args):
+        raise AssertionError("orbit index built before the budget check")
+
+    monkeypatch.setattr(factory, "orbit_index", no_orbit_index)
+    monkeypatch.setattr(census, "orbit_index", no_orbit_index)
+    assert main(fixture_argv(command)) == 3
+    err = capsys.readouterr().err
+    assert_one_line_error(err)
+    if "near-unanimity-5" in command:
+        assert f"{64 ** 5} of them for g" in err
+
+
+@pytest.mark.parametrize("options,code", [
+    (["--threads", "-3"], 3),
+    (["--threads", "0"], 3),
+    (["--threads", "1000000"], 3),
+    (["--property", "fixedB=0+99"], 1),
+    (["--property", "fixedB=-1+2"], 1),
+    (["--property", "minority2=zz"], 1),
+])
+def test_census_rejects_bad_inputs(options, code, maltsev_file, monkeypatch,
+                                   capsys):
+    def no_threads(*args, **kwargs):
+        raise AssertionError("worker threads started")
+
+    monkeypatch.setattr(census.concurrent.futures, "ThreadPoolExecutor",
+                        no_threads)
+    argv = ["census", maltsev_file, "-n", "8", "--samples", "10", "--seed",
+            "1", "--property", "subalg2"] + options
+    assert main(argv) == code
+    assert_one_line_error(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("prop", ["minority2", "minority2=c"])
+def test_census_minority2_needs_ternary_symbol(prop, capsys):
+    argv = fixture_argv("census cyclic-2 -n 4 --samples 5 --seed 1")
+    assert main(argv + ["--property", prop]) == 1
+    assert_one_line_error(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_enumerate_rejects_empty_carrier(n, maltsev_file, capsys):
+    assert main(["enumerate", maltsev_file, "-n", n]) == 1
+    assert_one_line_error(capsys.readouterr().err)
+
+
+def test_check_rejects_empty_carrier(tmp_path, capsys):
+    path = tmp_path / "alg.json"
+    path.write_text('{"n": 0, "operations": {"f": {"arity": 3, "table": []}}}')
+    assert main(["check", str(path), "--property", "subalg2"]) == 1
+    assert_one_line_error(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("content", [
+    None,
+    "{not json",
+    '{"n": 2, "operations": {"f": {"table": [0, 1]}}}',
+    '{"n": 2, "operations": {"f": {"arity": 1}}}',
+    '{"n": 2, "operations": {"f": {"arity": 1, "table": [0, "one"]}}}',
+    '{"n": 2, "operations": [1, 2]}',
+])
+def test_check_rejects_malformed_algebra(content, tmp_path, capsys):
+    path = tmp_path / "alg.json"
+    if content is not None:
+        path.write_text(content)
+    assert main(["check", str(path), "--property", "subalg2"]) == 2
+    assert_one_line_error(capsys.readouterr().err)
