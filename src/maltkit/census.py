@@ -15,7 +15,8 @@ import hashlib
 import io
 import math
 import threading
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from itertools import combinations, permutations, product
 
 import numpy as np
@@ -46,9 +47,6 @@ MAX_SAMPLES = 1_000_000
 MAX_THREADS = 64
 _WILSON_Z = 1.959963984540054  # 95% two-sided normal quantile
 
-KNOWN_PROPERTIES = ("subalg2", "subalg3", "subalgGT1", "automorphism",
-                    "cross", "idemprimal", "minority2")
-
 
 @dataclass(frozen=True)
 class Experiment:
@@ -58,6 +56,8 @@ class Experiment:
     master_seed: int
     properties: tuple[str, ...]
     threads: int = 1
+    # {property: (registry entry, argument)}, parsed once here
+    parsed: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.num_samples < 1 or self.num_samples > MAX_SAMPLES:
@@ -68,18 +68,8 @@ class Experiment:
             raise BudgetError(f"threads must be in 1..{MAX_THREADS}")
         if not self.properties:
             raise DomainError("at least one property required")
-        for p in self.properties:
-            name = p.split("=", 1)[0]
-            if name == "fixedB":
-                if any(e >= self.n for e in parse_fixed_b(p)):
-                    raise DomainError(f"{p}: elements must be in "
-                                      f"0..{self.n - 1}")
-            elif name == "minority2":
-                _designated_ternary(self.system.signature, p)
-            elif p not in KNOWN_PROPERTIES:
-                raise DomainError(f"unknown property {p!r}")
-        if "idemprimal" in self.properties and self.n < 3:
-            raise DomainError("idemprimality census needs n >= 3")
+        object.__setattr__(self, "parsed", parse_properties(
+            self.properties, self.system.signature, self.n))
 
 
 @dataclass
@@ -112,8 +102,8 @@ def wilson_interval(successes: int, total: int) -> tuple[float, float]:
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def parse_fixed_b(prop: str) -> tuple[int, ...]:
-    """fixedB=<elems>, non-negative elements joined by '+': fixedB=0+1."""
+def parse_fixed_b(prop: str, n: int | None = None) -> tuple[int, ...]:
+    """fixedB=<elems>, elements in 0..n-1 joined by '+': fixedB=0+1."""
     body = prop.partition("=")[2]
     try:
         elems = tuple(sorted({int(x) for x in body.split("+")}))
@@ -121,6 +111,8 @@ def parse_fixed_b(prop: str) -> tuple[int, ...]:
         raise DomainError(f"cannot parse element list in {prop!r}") from None
     if any(e < 0 for e in elems):
         raise DomainError(f"negative element in {prop!r}")
+    if n is not None and elems[-1] >= n:
+        raise DomainError(f"{prop}: elements must be in 0..{n - 1}")
     return elems
 
 
@@ -174,92 +166,76 @@ class _NContext:
     def realize_np(self, flat: np.ndarray):
         return self.realizer().tables(flat)
 
-    # -- family-level index arrays ---------------------------------------
+    # -- family-level index arrays, built once per carrier size ----------
 
-    def _binary_entries(self):
-        return [i for i, e in enumerate(self.engine.transversal.entries)
-                if i >= 1 and e.d == 2]
+    def _cached(self, key, build):
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
+    def _subset_row(self, sub) -> list[int]:
+        """Draw positions of the keys with every argument in sub, entry by
+        entry (each entry's positions sorted)."""
+        row = []
+        for ei, e in enumerate(self.engine.transversal.entries[1:], start=1):
+            row.extend(sorted({self.oi.position(ei, u)
+                               for u in permutations(sub, e.d)}))
+        return row
+
+    def _subset_arrays(self, k: int):
+        subsets = list(combinations(range(self.n), k))
+        return (_int_rows([self._subset_row(sub) for sub in subsets], len(subsets)),
+                np.array(subsets, dtype=np.int64).reshape(-1, k))
 
     def fixed_b_arrays(self, B: tuple[int, ...]):
-        key = ("fixedB", B)
-        if key not in self._cache:
-            positions = []
-            for ei, e in enumerate(self.engine.transversal.entries[1:], start=1):
-                positions.extend(sorted({self.oi.position(ei, u)
-                                         for u in permutations(B, e.d)}))
-            self._cache[key] = (np.array(positions, dtype=np.int64),
-                                np.array(sorted(B), dtype=np.int64))
-        return self._cache[key]
+        """The positions of the keys inside B, and B."""
+        return self._cached(("fixedB", B), lambda: (
+            np.array(self._subset_row(B), dtype=np.int64),
+            np.array(B, dtype=np.int64)))
 
     def pair_arrays(self):
-        """Positions of the binary-entry keys inside each unordered pair."""
-        if "pairs" not in self._cache:
-            n = self.n
-            pairs = list(combinations(range(n), 2))
-            cols = []
-            for a, b in pairs:
-                row = []
-                for ei in self._binary_entries():
-                    row.extend(sorted({self.oi.position(ei, (a, b)),
-                                       self.oi.position(ei, (b, a))}))
-                cols.append(row)
-            P = np.array(cols, dtype=np.int64) if cols and cols[0] else \
-                np.zeros((len(pairs), 0), dtype=np.int64)
-            A = np.array([p[0] for p in pairs], dtype=np.int64)
-            B = np.array([p[1] for p in pairs], dtype=np.int64)
-            self._cache["pairs"] = (P, A, B)
-        return self._cache["pairs"]
+        """(P, S): row i of P holds the positions of the keys inside the
+        unordered pair S[i]."""
+        return self._cached("pairs", lambda: self._subset_arrays(2))
 
     def triple_arrays(self):
-        """Positions of all keys with d_i <= 3 inside each 3-subset."""
-        if "triples" not in self._cache:
-            n = self.n
-            triples = list(combinations(range(n), 3))
-            cols = []
-            for sub in triples:
-                row = []
-                for ei, e in enumerate(self.engine.transversal.entries[1:], start=1):
-                    row.extend(sorted({self.oi.position(ei, u)
-                                       for u in permutations(sub, e.d)}))
-                cols.append(row)
-            P = np.array(cols, dtype=np.int64) if cols and cols[0] else \
-                np.zeros((len(triples), 0), dtype=np.int64)
-            S = np.array(triples, dtype=np.int64)
-            self._cache["triples"] = (P, S)
-        return self._cache["triples"]
+        """(P, S) as pair_arrays, over the 3-subsets."""
+        return self._cached("triples", lambda: self._subset_arrays(3))
 
     def minority_arrays(self, symbol: int):
-        """Per unordered pair: forced-value draw positions with required
-        values, membership draw positions, and whether the constant cells
-        already match the minority pattern (see _minority_symbolic)."""
-        key = ("minority", symbol)
-        if key not in self._cache:
+        """(feasible, FP, FV, MP, S): per unordered pair S[i], the draw
+        positions forced to a minority value with those values, the
+        membership draw positions, and whether the constant cells already
+        match the minority pattern (see _minority_symbolic)."""
+        def build():
             feasible, forced, member = _minority_symbolic(self.engine, symbol)
-            n = self.n
-            pairs = list(combinations(range(n), 2))
-            fpos, fval, mpos = [], [], []
-            for a, b in pairs:
-                frow, vrow = [], []
-                for ei, key01, req01 in forced:
-                    actual = tuple(a if x == 0 else b for x in key01)
-                    frow.append(self.oi.position(ei, actual))
-                    vrow.append(a if req01 == 0 else b)
-                mrow = []
-                for ei, key01 in member:
-                    actual = tuple(a if x == 0 else b for x in key01)
-                    mrow.append(self.oi.position(ei, actual))
-                fpos.append(frow)
-                fval.append(vrow)
-                mpos.append(mrow)
-            def arr(rows):
-                if rows and rows[0]:
-                    return np.array(rows, dtype=np.int64)
-                return np.zeros((len(pairs), 0), dtype=np.int64)
+            pairs = list(combinations(range(self.n), 2))
 
-            A = np.array([p[0] for p in pairs], dtype=np.int64)
-            B = np.array([p[1] for p in pairs], dtype=np.int64)
-            self._cache[key] = (feasible, arr(fpos), arr(fval), arr(mpos), A, B)
-        return self._cache[key]
+            def positions(keys, ab):
+                return [self.oi.position(ei, tuple(ab[x] for x in key01))
+                        for ei, key01, *_ in keys]
+            return (feasible,
+                    _int_rows([positions(forced, ab) for ab in pairs], len(pairs)),
+                    _int_rows([[ab[req] for *_, req in forced] for ab in pairs],
+                              len(pairs)),
+                    _int_rows([positions(member, ab) for ab in pairs], len(pairs)),
+                    np.array(pairs, dtype=np.int64).reshape(-1, 2))
+        return self._cached(("minority", symbol), build)
+
+
+def _int_rows(rows: list[list[int]], count: int) -> np.ndarray:
+    """count equal-length rows as a 2-D int64 array, also when empty."""
+    if rows and rows[0]:
+        return np.array(rows, dtype=np.int64)
+    return np.zeros((count, 0), dtype=np.int64)
+
+
+def _in_rows(vals: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Whether each value lies in its row of S."""
+    ok = np.zeros(vals.shape, dtype=bool)
+    for c in range(S.shape[1]):
+        ok |= vals == S[:, c, None]
+    return ok
 
 
 def _minority_symbolic(engine: CensusEngine, symbol: int):
@@ -320,9 +296,13 @@ def minority_pair_probability(engine: CensusEngine, symbol: int, n: int):
 
 
 class _SampleEval:
-    def __init__(self, ctx: _NContext, flat: np.ndarray):
+    """One sample's property values, each decided once.  parsed maps
+    property strings to (registry entry, argument); others are looked up."""
+
+    def __init__(self, ctx: _NContext, flat: np.ndarray, parsed: dict):
         self.ctx = ctx
         self.flat = flat
+        self.parsed = parsed
         self._memo: dict = {}
 
     def _tabs(self):
@@ -331,73 +311,16 @@ class _SampleEval:
         return self._memo["tabs"]
 
     def evaluate(self, prop: str) -> bool:
-        if prop in self._memo:
-            return self._memo[prop]
-        val = self._evaluate(prop)
-        self._memo[prop] = val
-        return val
-
-    def _evaluate(self, prop: str) -> bool:
-        ctx, n, flat = self.ctx, self.ctx.n, self.flat
-        if prop.startswith("fixedB="):
-            positions, B = ctx.fixed_b_arrays(parse_fixed_b(prop))
-            if len(positions) == 0:
-                return True
-            return bool(np.isin(flat[positions], B).all())
-        if prop == "subalg2":
-            if n < 3:
-                return False  # no proper subalgebra of size 2 exists
-            P, A, B = ctx.pair_arrays()
-            if P.shape[1] == 0:
-                return True
-            vals = flat[P]
-            ok = (vals == A[:, None]) | (vals == B[:, None])
-            return bool(ok.all(axis=1).any())
-        if prop == "subalg3":
-            if n < 4:
-                return False
-            P, S = ctx.triple_arrays()
-            if P.shape[1] == 0:
-                return True
-            vals = flat[P]
-            ok = np.zeros(vals.shape, dtype=bool)
-            for c in range(3):
-                ok |= vals == S[:, c][:, None]
-            return bool(ok.all(axis=1).any())
-        if prop == "subalgGT1":
-            if n < 3:
-                return False
-            if self.evaluate("subalg2"):
-                return True
-            return checkers._pair_generated_proper(self._tabs(), n) is not None
-        if prop == "automorphism":
-            if n == 1:
-                return False
-            tabs = self._tabs()
-            ident = tuple(range(n))
-            for perm in checkers._automorphism_search(tabs, n, find_all=False):
-                if perm != ident:
-                    return True
-            return False
-        if prop == "cross":
-            return checkers._any_cross_np(self._tabs(), n) is not None
-        if prop == "idemprimal":
-            return (not self.evaluate("subalgGT1")
-                    and not self.evaluate("automorphism")
-                    and not self.evaluate("cross"))
-        if prop == "minority2" or prop.startswith("minority2="):
-            symbol = _designated_ternary(ctx.engine.spec.signature, prop)
-            feasible, FP, FV, MP, A, B = ctx.minority_arrays(symbol)
-            if not feasible:
-                return False
-            ok = np.ones(len(A), dtype=bool)
-            if FP.shape[1]:
-                ok &= (flat[FP] == FV).all(axis=1)
-            if MP.shape[1]:
-                mv = flat[MP]
-                ok &= ((mv == A[:, None]) | (mv == B[:, None])).all(axis=1)
-            return bool(ok.any())
-        raise DomainError(f"unknown property {prop!r}")
+        if prop not in self._memo:
+            entry, arg = self.parsed.get(prop) or (PROPERTIES[prop], None)
+            if self.ctx.n < entry.min_n:
+                val = False
+            elif entry.family is not None:
+                val = entry.family(self, arg)
+            else:
+                val = entry.table(self._tabs(), self.ctx.n, arg)[0]
+            self._memo[prop] = val
+        return self._memo[prop]
 
 
 def _designated_ternary(sig: Signature, prop: str) -> int:
@@ -414,60 +337,203 @@ def _designated_ternary(sig: Signature, prop: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Theory registry
+# Property registry
+
+
+@dataclass(frozen=True)
+class Property:
+    """One census/check property.  `check` decides it with `table` on an
+    algebra's tables; the census uses `family` on a sample's flat draws
+    when there is one, else `table` on the realized tables.  Below min_n
+    it is False (an error if strict): every subalgebra counted is proper,
+    as the exact theory assumes."""
+    name: str
+    min_n: int
+    table: Callable      # (tabs, n, arg) -> (holds, witness)
+    theory: Callable     # (engine, arg, n) -> (theory_kind, value)
+    family: Callable | None = None   # (_SampleEval, arg) -> holds
+    prewarm: tuple[str, ...] = ()    # _NContext builders, given arg if any
+    parse: Callable | None = None    # (prop, signature, n) -> arg
+    strict: bool = False
+
+    def decide(self, tabs, n: int, arg):
+        return (False, None) if n < self.min_n else self.table(tabs, n, arg)
+
+
+def _subuniverse(tabs, n: int, B):
+    """(whether B is a subuniverse, else the first argument tuple over B,
+    by symbol and then lexicographically, whose value leaves B)."""
+    Bs = np.asarray(B)
+    for tab, d in tabs:
+        bad = np.argwhere(~np.isin(tab.reshape((n,) * d)[np.ix_(*[Bs] * d)], Bs))
+        if len(bad):
+            return False, [int(B[i]) for i in bad[0]]
+    return True, None
+
+
+def _found(search):
+    """A table evaluator from a checker internal returning a witness or None."""
+    def table(tabs, n, _):
+        witness = search(tabs, n)
+        return witness is not None, witness
+    return table
+
+
+def _subsets(k: int, arrays: str) -> Property:
+    """subalg<k>: some k-element subset is a proper subalgebra."""
+    def table(tabs, n, _):
+        for B in combinations(range(n), k):
+            if _subuniverse(tabs, n, B)[0]:
+                return True, list(B)
+        return False, None
+
+    def family(ev, _):
+        P, S = getattr(ev.ctx, arrays)()
+        return bool(_in_rows(ev.flat[P], S).all(axis=1).any())
+
+    def theory(engine, _, n):
+        d = engine.params.d_M
+        if d > k:
+            return "exact_finite_n", 1.0
+        if d == k:
+            single = (k / n) ** p_of_k(engine.params, k)
+            return "exact_finite_n", 1.0 - (1.0 - single) ** math.comb(n, k)
+        cell = asymptotic_table(engine.params).at_d_plus_1  # d_M >= 2, so k = d + 1
+        if cell.kind == "open":
+            return "open", None
+        return "asymptotic", cell.as_float()
+
+    return Property(f"subalg{k}", k + 1, table, theory, family=family,
+                    prewarm=(arrays,))
+
+
+def _subalg_gt1_family(ev, _):
+    # a 2-element subalgebra is the cheap witness; else pair closures
+    return (ev.evaluate("subalg2")
+            or checkers._pair_generated_proper(ev._tabs(), ev.ctx.n) is not None)
+
+
+def _subalg_gt1_theory(engine, _, n):
+    if engine.params.d_M >= 3:
+        return "asymptotic", 1.0
+    p2 = p_of_k(engine.params, 2)
+    if p2 > 2:
+        return "asymptotic", 0.0
+    if p2 == 2:
+        return "asymptotic", 1.0 - math.exp(-2.0)
+    return "asymptotic", 1.0
+
+
+def _automorphism_table(tabs, n, _):
+    ident = tuple(range(n))
+    for perm in checkers._automorphism_search(tabs, n, find_all=False):
+        if perm != ident:
+            return True, list(perm)
+    return False, None
+
+
+def _rigid_theory(engine, _, n):
+    """Automorphisms and crosses vanish asymptotically when d_M = 2."""
+    return ("asymptotic", 0.0) if engine.params.d_M == 2 else ("none", None)
+
+
+# Szendrei's obstructions to idemprimality, with their witness labels
+_OBSTRUCTIONS = (("subalgGT1", "proper-subalgebra"),
+                 ("automorphism", "automorphism"), ("cross", "cross"))
+
+
+def _idemprimal_table(tabs, n, _):
+    for name, label in _OBSTRUCTIONS:
+        holds, witness = PROPERTIES[name].table(tabs, n, None)
+        if holds:
+            return False, [label, witness]
+    return True, None
+
+
+def _minority2_table(tabs, n, symbol):
+    grid = tabs[symbol][0].reshape((n,) * 3)
+    for a, b in combinations(range(n), 2):
+        if all(grid[args] == v for args, v in
+               checkers._minority_values(a, b).items()) \
+                and _subuniverse(tabs, n, (a, b))[0]:
+            return True, [a, b]
+    return False, None
+
+
+def _minority2_family(ev, symbol):
+    feasible, FP, FV, MP, S = ev.ctx.minority_arrays(symbol)
+    return feasible and bool(((ev.flat[FP] == FV).all(axis=1)
+                              & _in_rows(ev.flat[MP], S).all(axis=1)).any())
+
+
+def _minority2_theory(engine, symbol, n):
+    single = minority_pair_probability(engine, symbol, n)
+    return "exact_finite_n", 1.0 - (1.0 - single) ** math.comb(n, 2)
+
+
+def _fixed_b_family(ev, B):
+    positions, elems = ev.ctx.fixed_b_arrays(B)
+    return bool(np.isin(ev.flat[positions], elems).all())
+
+
+def _fixed_b_theory(engine, B, n):
+    k = len(B)
+    if k < engine.params.d_M or k == n:
+        return "exact_finite_n", 1.0
+    return "exact_finite_n", float(fixed_subalgebra_probability(engine.params, k, n))
+
+
+PROPERTIES = {p.name: p for p in (
+    _subsets(2, "pair_arrays"),
+    _subsets(3, "triple_arrays"),
+    Property("subalgGT1", 3, _found(checkers._pair_generated_proper),
+             _subalg_gt1_theory,
+             family=_subalg_gt1_family, prewarm=("realizer", "pair_arrays")),
+    Property("automorphism", 2, _automorphism_table, _rigid_theory,
+             prewarm=("realizer",)),
+    Property("cross", 1, _found(checkers._any_cross_np), _rigid_theory,
+             prewarm=("realizer",)),
+    Property("idemprimal", 3, _idemprimal_table,
+             lambda engine, _, n: ("asymptotic", idemprimality_verdict(
+                 engine.params).limit_probability),
+             family=lambda ev, _: not any(ev.evaluate(name)
+                                          for name, _ in _OBSTRUCTIONS),
+             prewarm=("realizer", "pair_arrays"), strict=True),
+    Property("minority2", 2, _minority2_table, _minority2_theory,
+             family=_minority2_family, prewarm=("minority_arrays",),
+             parse=lambda prop, sig, n: _designated_ternary(sig, prop)),
+    Property("fixedB", 1, _subuniverse, _fixed_b_theory,
+             family=_fixed_b_family, prewarm=("fixed_b_arrays",),
+             parse=lambda prop, sig, n: parse_fixed_b(prop, n)),
+)}
+
+
+def parse_properties(props, sig: Signature, n: int) -> dict:
+    """{property string: (registry entry, argument)}, validated against the
+    signature and carrier size.  Unknown or repeated properties and
+    arguments out of range raise DomainError."""
+    out, seen = {}, {}
+    for prop in props:
+        name, eq, _ = prop.partition("=")
+        entry = PROPERTIES.get(name)
+        if entry is None or (eq and entry.parse is None):
+            raise DomainError(f"unknown property {prop!r}")
+        if entry.strict and n < entry.min_n:
+            raise DomainError(f"{name} needs n >= {entry.min_n}")
+        arg = entry.parse(prop, sig, n) if entry.parse else None
+        if (name, arg) in seen:
+            raise DomainError(f"property {prop!r} repeats {seen[name, arg]!r}")
+        seen[name, arg] = prop
+        out[prop] = entry, arg
+    return out
 
 
 def theory_for(engine: CensusEngine, prop: str, n: int):
     """(theory_kind, value) for a property at carrier size n."""
-    params = engine.params
-    d = params.d_M
-    if prop.startswith("fixedB="):
-        B = parse_fixed_b(prop)
-        k = len(B)
-        if k < d or k == n:
-            return "exact_finite_n", 1.0
-        if k > n:
-            return "none", None
-        return "exact_finite_n", float(fixed_subalgebra_probability(params, k, n))
-    if prop == "subalg2":
-        if n < 3:
-            return "exact_finite_n", 0.0
-        if d > 2:
-            return "exact_finite_n", 1.0
-        single = (2 / n) ** p_of_k(params, 2)
-        return "exact_finite_n", 1.0 - (1.0 - single) ** math.comb(n, 2)
-    if prop == "subalg3":
-        if n < 4:
-            return "exact_finite_n", 0.0
-        if d > 3:
-            return "exact_finite_n", 1.0
-        if d == 3:
-            single = (3 / n) ** p_of_k(params, 3)
-            return "exact_finite_n", 1.0 - (1.0 - single) ** math.comb(n, 3)
-        cell = asymptotic_table(params).at_d_plus_1
-        if cell.kind == "open":
-            return "open", None
-        return "asymptotic", cell.as_float()
-    if prop == "subalgGT1":
-        if d >= 3:
-            return "asymptotic", 1.0
-        p2 = p_of_k(params, 2)
-        if p2 > 2:
-            return "asymptotic", 0.0
-        if p2 == 2:
-            return "asymptotic", 1.0 - math.exp(-2.0)
-        return "asymptotic", 1.0
-    if prop == "automorphism":
-        return ("asymptotic", 0.0) if d == 2 else ("none", None)
-    if prop == "cross":
-        return ("asymptotic", 0.0) if d == 2 else ("none", None)
-    if prop == "idemprimal":
-        return "asymptotic", idemprimality_verdict(params).limit_probability
-    if prop == "minority2" or prop.startswith("minority2="):
-        symbol = _designated_ternary(engine.spec.signature, prop)
-        single = minority_pair_probability(engine, symbol, n)
-        return "exact_finite_n", 1.0 - (1.0 - single) ** math.comb(n, 2)
-    return "none", None
+    entry, arg = parse_properties((prop,), engine.spec.signature, n)[prop]
+    if n < entry.min_n:
+        return "exact_finite_n", 0.0  # the property never holds
+    return entry.theory(engine, arg, n)
 
 
 # ---------------------------------------------------------------------------
@@ -478,29 +544,18 @@ def run_census(experiment: Experiment, engine: CensusEngine | None = None) -> Ce
     if engine is None:
         engine = CensusEngine(experiment.system)
     ctx = engine.context(experiment.n)
-    props = experiment.properties
+    props, parsed = experiment.properties, experiment.parsed
     # build shared index arrays before the workers start
-    needs_tables = any(p in ("subalgGT1", "automorphism", "cross", "idemprimal")
-                       for p in props)
-    if needs_tables:
-        ctx.realizer()
-    needs_pairs = any(p in ("subalg2", "subalgGT1", "idemprimal") for p in props)
-    if needs_pairs:
-        ctx.pair_arrays()
-    if "subalg3" in props:
-        ctx.triple_arrays()
-    for p in props:
-        if p == "minority2" or p.startswith("minority2="):
-            ctx.minority_arrays(_designated_ternary(engine.spec.signature, p))
-        if p.startswith("fixedB="):
-            ctx.fixed_b_arrays(parse_fixed_b(p))
+    for entry, arg in parsed.values():
+        for name in entry.prewarm:
+            getattr(ctx, name)(*(() if arg is None else (arg,)))
 
     def worker(start: int) -> dict[str, int]:
         counts = {p: 0 for p in props}
         for j in range(start, experiment.num_samples, experiment.threads):
             flat = draw_values(mix(experiment.master_seed, j),
                                experiment.n, ctx.total_draws)
-            ev = _SampleEval(ctx, flat)
+            ev = _SampleEval(ctx, flat, parsed)
             for p in props:
                 if ev.evaluate(p):
                     counts[p] += 1

@@ -11,6 +11,7 @@ is no wall-clock default, so identical invocations are bit-reproducible.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -21,18 +22,24 @@ from .analysis import (canonical_transversal, classify_minimal, minimal_terms,
                        orbit_partition)
 from .closure import (DEFAULT_MAX_VARS, compute_closure, entails_auto,
                       is_satisfiable, validate_assumptions)
-from .errors import BudgetError, DomainError, ParseError
+from .errors import DomainError, MaltkitError, ParseError
 from .terms import (Identity, parse_system, render_system, render_term,
                     variable_names)
 
 SCHEMA_VERSION = 1
 
 
+def _read_text(path: str, what: str) -> str:
+    try:
+        return Path(path).read_text()
+    except FileNotFoundError:
+        raise ParseError(f"no such {what} file: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {what} file {path}: {exc}") from None
+
+
 def _load_system(path: str):
-    p = Path(path)
-    if not p.is_file():
-        raise ParseError(f"no such system file: {path}")
-    return parse_system(p.read_text(), name=p.stem)
+    return parse_system(_read_text(path, "system"), name=Path(path).stem)
 
 
 def _parse_seed(value: str) -> int:
@@ -52,12 +59,18 @@ def _require_seed(args) -> int:
     return _parse_seed(args.seed)
 
 
-def _out_stream(args):
+def _out_stream(args, mode="w"):
     """Context manager for -o; stdout is not closed."""
-    import contextlib
-    if getattr(args, "output", None):
-        return open(args.output, "w")
-    return contextlib.nullcontext(sys.stdout)
+    if not args.output:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(args.output, mode, newline="")
+    except OSError as exc:
+        raise ParseError(f"cannot write {args.output}: {exc.strerror}") from None
+
+
+def _property_list(args) -> tuple[str, ...]:
+    return tuple(p.strip() for p in args.property.split(","))
 
 
 def _render(spec, term):
@@ -198,6 +211,8 @@ def cmd_entail(args) -> int:
 
 def cmd_sample(args) -> int:
     seed = _require_seed(args)
+    if args.count < 1:
+        raise DomainError("--count must be at least 1")
     spec = _load_system(args.system)
     report = validate_assumptions(spec, max_vars=args.max_vars)
     if not report.ok:
@@ -216,6 +231,10 @@ def cmd_sample(args) -> int:
 
 def cmd_enumerate(args) -> int:
     spec = _load_system(args.system)
+    if args.backend == "family":
+        report = validate_assumptions(spec, max_vars=args.max_vars)
+        if not report.ok:
+            raise DomainError(f"system assumptions fail: {report.detail}")
     with _out_stream(args) as fh:
         count = 0
         for alg in factory.enumerate_models(spec, args.n, backend=args.backend):
@@ -225,58 +244,20 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
-def _check_one(alg, prop: str):
-    if prop == "subalg2":
-        for a in range(alg.n):
-            for b in range(a + 1, alg.n):
-                if checkers.is_subuniverse(alg, (a, b)).holds:
-                    return True, [a, b]
-        return False, None
-    if prop == "subalg3":
-        from itertools import combinations
-        for B in combinations(range(alg.n), 3):
-            if checkers.is_subuniverse(alg, B).holds:
-                return True, list(B)
-        return False, None
-    if prop == "subalgGT1":
-        r = checkers.has_proper_subalgebra_size_gt1(alg)
-        return r.holds, r.witness
-    if prop == "automorphism":
-        r = checkers.has_nontrivial_automorphism(alg)
-        return r.holds, list(r.witness) if r.holds else None
-    if prop == "cross":
-        a = checkers._any_cross_np(checkers._tabs(alg), alg.n)
-        return a is not None, a
-    if prop == "idemprimal":
-        r = checkers.is_idemprimal(alg)
-        return r.holds, r.witness
-    if prop.startswith("minority2"):
-        sym = census_mod._designated_ternary(alg.signature, prop)
-        r = checkers.has_minority_two_subalgebra(alg, sym)
-        return r.holds, list(r.witness) if r.holds else None
-    if prop.startswith("fixedB="):
-        B = census_mod.parse_fixed_b(prop)
-        if any(e >= alg.n for e in B):
-            raise DomainError(f"{prop}: elements must be in 0..{alg.n - 1}")
-        r = checkers.is_subuniverse(alg, B)
-        return r.holds, None if r.holds else list(map(int, r.witness[1]))
-    raise ParseError(f"unknown property {prop!r}")
-
-
 def cmd_check(args) -> int:
-    path = Path(args.algebra)
-    if not path.is_file():
-        raise ParseError(f"no such algebra file: {args.algebra}")
-    alg = factory.algebra_from_json(path.read_text())
-    spec = _load_system(args.system) if args.system else None
-    if spec is not None:
+    alg = factory.algebra_from_json(_read_text(args.algebra, "algebra"))
+    if args.system:
+        spec = _load_system(args.system)
+        if alg.signature != spec.signature:
+            raise DomainError("the algebra's operations differ from the system's signature")
         ok, witness = factory.validate_model(spec, alg)
         if not ok:
             raise DomainError(f"algebra does not satisfy the system: "
                               f"identity {witness[0]} fails at {witness[1]}")
-    for prop in args.property.split(","):
-        prop = prop.strip()
-        holds, witness = _check_one(alg, prop)
+    props = census_mod.parse_properties(_property_list(args), alg.signature, alg.n)
+    tabs = checkers._tabs(alg)
+    for prop, (entry, arg) in props.items():
+        holds, witness = entry.decide(tabs, alg.n, arg)
         obj = {"property": prop, "holds": holds}
         if witness is not None:
             obj["witness"] = witness
@@ -291,17 +272,14 @@ def cmd_check(args) -> int:
 def cmd_census(args) -> int:
     seed = _require_seed(args)
     spec = _load_system(args.system)
-    props = tuple(p.strip() for p in args.property.split(","))
-    exp = census_mod.Experiment(system=spec, n=args.n, num_samples=args.samples,
-                                master_seed=seed, properties=props,
-                                threads=args.threads)
+    exp = census_mod.Experiment(spec, args.n, args.samples, seed,
+                                _property_list(args), args.threads)
     engine = census_mod.CensusEngine(spec, max_vars=args.max_vars)
+    if args.output:  # an unwritable path fails before sampling; none is truncated
+        _out_stream(args, "a").close()
     report = census_mod.run_census(exp, engine=engine)
-    if args.output:
-        with open(args.output, "w", newline="") as fh:
-            census_mod.write_csv([report], fh)
-    else:
-        sys.stdout.write(census_mod.csv_text([report]))
+    with _out_stream(args) as fh:
+        census_mod.write_csv([report], fh)
     return 0
 
 
@@ -394,15 +372,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ParseError as exc:
+    except MaltkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except BudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return exc.exit_code
 
 
 if __name__ == "__main__":

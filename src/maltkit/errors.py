@@ -1,16 +1,14 @@
-"""Exception types shared across the package.
-
-The CLI maps these onto its exit-code contract:
-ParseError -> 2, DomainError -> 1, BudgetError -> 3.
-"""
+"""Exception types shared across the package; exit_code is the CLI's
+exit status for each."""
 
 
 class MaltkitError(Exception):
-    pass
+    exit_code = 1
 
 
 class ParseError(MaltkitError):
     """Malformed input text (system files, identity queries, bad flags)."""
+    exit_code = 2
 
     def __init__(self, message, line=None, column=None):
         if line is not None:
@@ -28,3 +26,4 @@ class DomainError(MaltkitError):
 
 class BudgetError(MaltkitError):
     """Request exceeds a configured resource budget."""
+    exit_code = 3

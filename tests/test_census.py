@@ -1,12 +1,18 @@
 import io
 import math
+from itertools import combinations
 
 import pytest
 
-from maltkit.census import (CSV_HEADER, CensusEngine, Experiment,
+from maltkit.census import (CSV_HEADER, PROPERTIES, CensusEngine, Experiment,
                             csv_text, minority_pair_probability,
-                            parse_fixed_b, run_census, sweep_census,
-                            theory_for, wilson_interval, write_csv)
+                            parse_fixed_b, parse_properties, run_census,
+                            sweep_census, theory_for, wilson_interval,
+                            write_csv)
+from maltkit.checkers import (cross_compatible, has_minority_two_subalgebra,
+                              has_nontrivial_automorphism,
+                              has_proper_subalgebra_size_gt1, is_idemprimal,
+                              is_subuniverse)
 from maltkit.errors import DomainError
 from maltkit.library import builtin_system
 from maltkit.terms import parse_system
@@ -134,43 +140,58 @@ def test_census_deterministic_across_runs(maltsev_engine, maltsev_spec):
     assert csv_text([a]) == csv_text([b])
 
 
-def test_census_vectorized_matches_checkers(maltsev_spec):
-    """Family-level fast paths agree with the concrete per-algebra
-    checkers on every sample."""
+# property string -> its decision by the public checkers on an algebra;
+# every registry entry needs one
+ORACLES = {
+    "subalg2": lambda alg: alg.n >= 3 and any(
+        is_subuniverse(alg, B).holds for B in combinations(range(alg.n), 2)),
+    "subalg3": lambda alg: alg.n >= 4 and any(
+        is_subuniverse(alg, B).holds for B in combinations(range(alg.n), 3)),
+    "subalgGT1": lambda alg: alg.n >= 3 and has_proper_subalgebra_size_gt1(alg).holds,
+    "automorphism": lambda alg: has_nontrivial_automorphism(alg).holds,
+    "cross": lambda alg: any(cross_compatible(alg, a).holds for a in range(alg.n)),
+    "idemprimal": lambda alg: is_idemprimal(alg).holds,
+    "minority2": lambda alg: has_minority_two_subalgebra(
+        alg, next(i for i, (_, d) in enumerate(alg.signature.symbols) if d == 3)).holds,
+    "fixedB=0+1": lambda alg: is_subuniverse(alg, (0, 1)).holds,
+}
+
+
+def test_oracles_cover_the_registry():
+    assert {p.partition("=")[0] for p in ORACLES} == set(PROPERTIES)
+
+
+def test_census_vectorized_matches_checkers():
+    """Every registry entry, in the census (family-level fast path where
+    there is one) and on concrete tables (what check runs), agrees with
+    the public checkers on every sample.  Majority models at n=3 supply
+    the automorphisms and crosses the other two families rarely have."""
     from maltkit.analysis import canonical_transversal
-    from maltkit.checkers import (_any_cross_np, _tabs,
-                                  has_nontrivial_automorphism,
-                                  has_proper_subalgebra_size_gt1,
-                                  has_minority_two_subalgebra, is_subuniverse)
+    from maltkit.checkers import _tabs
     from maltkit.closure import compute_closure
     from maltkit.factory import build_dispatch, mix, realize, sample_mfamily
 
-    engine = CensusEngine(maltsev_spec)
-    clo = compute_closure(maltsev_spec)
-    trans = canonical_transversal(clo)
-    dispatch = build_dispatch(clo, trans, maltsev_spec.signature)
-    n, samples, seed = 5, 200, 1234
-    props = ("subalg2", "subalgGT1", "automorphism", "cross", "minority2",
-             "fixedB=0+1")
-    report = run(engine, maltsev_spec, n, samples, seed, props)
-    counts = {row.property: row.successes for row in report.rows}
-    expect = dict.fromkeys(props, 0)
-    for i in range(samples):
-        alg = realize(dispatch, sample_mfamily(trans, n, mix(seed, i)))
-        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-        if any(is_subuniverse(alg, p).holds for p in pairs):
-            expect["subalg2"] += 1
-        if has_proper_subalgebra_size_gt1(alg).holds:
-            expect["subalgGT1"] += 1
-        if has_nontrivial_automorphism(alg).holds:
-            expect["automorphism"] += 1
-        if _any_cross_np(_tabs(alg), n) is not None:
-            expect["cross"] += 1
-        if has_minority_two_subalgebra(alg, 0).holds:
-            expect["minority2"] += 1
-        if is_subuniverse(alg, (0, 1)).holds:
-            expect["fixedB=0+1"] += 1
-    assert counts == expect
+    seed = 1234
+    props = tuple(ORACLES)
+    for spec, n, samples in ((builtin_system("maltsev"), 5, 200),
+                             (builtin_system("hagemann-mitschke", 3), 5, 120),
+                             (builtin_system("majority"), 3, 120)):
+        engine = CensusEngine(spec)
+        clo = compute_closure(spec)
+        trans = canonical_transversal(clo)
+        dispatch = build_dispatch(clo, trans, spec.signature)
+        report = run(engine, spec, n, samples, seed, props)
+        counts = {row.property: row.successes for row in report.rows}
+        parsed = parse_properties(props, spec.signature, n)
+        expect = dict.fromkeys(props, 0)
+        for i in range(samples):
+            alg = realize(dispatch, sample_mfamily(trans, n, mix(seed, i)))
+            for prop, oracle in ORACLES.items():
+                want = bool(oracle(alg))
+                entry, arg = parsed[prop]
+                assert entry.decide(_tabs(alg), n, arg)[0] == want, (spec.name, prop, i)
+                expect[prop] += want
+        assert counts == expect, spec.name
 
 
 def test_census_idemprimal_consistency(maltsev_spec, maltsev_engine):

@@ -6,6 +6,8 @@ import pytest
 
 from maltkit import census, factory
 from maltkit.cli import main
+from maltkit.errors import BudgetError
+from maltkit.terms import parse_system
 
 
 @pytest.fixture()
@@ -263,3 +265,165 @@ def test_check_rejects_malformed_algebra(content, tmp_path, capsys):
         path.write_text(content)
     assert main(["check", str(path), "--property", "subalg2"]) == 2
     assert_one_line_error(capsys.readouterr().err)
+
+
+# SHA-256 of `check` stdout for all eight properties on sampled algebras,
+# recorded before the property registry.  The three maltsev n=3 pins differ
+# from the recorded output only in the subalg3 line: the whole 3-element
+# carrier was reported as a subalgebra, and is now not (census meaning).
+CHECK_PROPERTIES = ("subalg2,subalg3,subalgGT1,automorphism,cross,idemprimal,"
+                    "minority2,fixedB=0+1")
+PINNED_CHECKS = [
+    ("maltsev -n 3 --seed 0",
+     "f2f0d2a179fda98f9a3bfe6bd59dff17c1229c3709cf16b92bc0f8b0c76a1870"),
+    ("maltsev -n 3 --seed 1",
+     "1ae05aa7f39ee4b415471f8113b488f40ab316b6d461a784fe9a197c4ed8bd92"),
+    ("maltsev -n 3 --seed 3",
+     "4d14996468ee92f490a534c9215b53e17649c5715335c7033786fb63b44ff439"),
+    ("maltsev -n 5 --seed 0",
+     "ec4aa7bd74565056c3e03b7668cf6fb812456a431fb67c82363e1e6b5a3c8ddc"),
+    ("maltsev -n 5 --seed 2",
+     "93b47afb44fc8a63e67b4350824152e73cedd1f2ebb25cfee3fb7cc160e22ae9"),
+    ("maltsev -n 5 --seed 8",
+     "d654ce77953a0b8f406a11b162c768d7ab4dc9f9752f78240fe2b497037c5f02"),
+    ("maltsev -n 5 --seed 16",
+     "a7cf91108175ee9132d9083d3ce0939ffbde5934885b19eebb8301d7a3f30706"),
+    ("hagemann-mitschke-3 -n 5 --seed 0",
+     "cd25f39387fabc515e371c4b12e6b48c5abe19df79a214ce5327e6c1b35bf58e"),
+    ("hagemann-mitschke-3 -n 5 --seed 3",
+     "fbe09236fea461d4fa4e08917f11aefd6d4306dcd93fb8d77beb1d5a80992167"),
+    ("hagemann-mitschke-3 -n 5 --seed 129",
+     "6f79e68b94ad84eb28ab1f6d900931e2ad4fc9e128554e40b6f97d486a10310f"),
+    # automorphism and cross witnesses
+    ("majority -n 3 --seed 23",
+     "4242871d9e1026249c88cc0f208206ad81546250017f77fa96918fef26c673c2"),
+    ("majority -n 4 --seed 3",
+     "8f360e3a37345bf48b4bc47b4f7729330d499df07bea4ec977e30e075283671a"),
+]
+
+
+@pytest.mark.parametrize("sample,digest", PINNED_CHECKS)
+def test_pinned_check_digests(sample, digest, tmp_path, capsys):
+    alg = tmp_path / "alg.json"
+    assert main(fixture_argv("sample " + sample) + ["-o", str(alg)]) == 0
+    assert main(["check", str(alg), "--property", CHECK_PROPERTIES]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_check_agrees_with_census_at_small_n(n, tmp_path, capsys):
+    """check and census count only proper subalgebras, so at n=1, 2, 3
+    subalgGT1, subalg2 and subalg3 are false on every algebra."""
+    props = ["subalg2", "subalg3", "subalgGT1", "automorphism", "cross",
+             "minority2", f"fixedB={n - 1}"] + (["idemprimal"] if n >= 3 else [])
+    samples, seed = 12, 5
+    for system in ("maltsev", "majority"):
+        models = tmp_path / f"{system}.jsonl"
+        assert main(fixture_argv(f"sample {system} -n {n} --seed {seed} "
+                                 f"--count {samples}") + ["-o", str(models)]) == 0
+        holds = dict.fromkeys(props, 0)
+        alg = tmp_path / "alg.json"
+        for line in models.read_text().splitlines():
+            alg.write_text(line)
+            assert main(["check", str(alg), "--property", ",".join(props)]) == 0
+            for obj in map(json.loads, capsys.readouterr().out.splitlines()):
+                holds[obj["property"]] += obj["holds"]
+        spec = parse_system((SYSTEMS_DIR / f"{system}.mlt").read_text())
+        report = census.run_census(census.Experiment(spec, n, samples, seed,
+                                                     tuple(props)))
+        assert holds == {row.property: row.successes for row in report.rows}
+        assert holds[{1: "subalgGT1", 2: "subalg2", 3: "subalg3"}[n]] == 0
+        if n < 3:
+            assert main(["check", str(alg), "--property", "idemprimal"]) == 1
+            assert_one_line_error(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", ["census", "check"])
+@pytest.mark.parametrize("props", ["subalg2,subalg2", "fixedB=0+1,fixedB=1+0",
+                                   "minority2,minority2=f"])
+def test_repeated_property_rejected(command, props, maltsev_file, tmp_path,
+                                    capsys):
+    if command == "census":
+        argv = ["census", maltsev_file, "-n", "3", "--samples", "5", "--seed", "1"]
+    else:
+        alg = tmp_path / "alg.json"
+        assert main(["sample", maltsev_file, "-n", "3", "--seed", "1",
+                     "-o", str(alg)]) == 0
+        argv = ["check", str(alg)]
+    assert main(argv + ["--property", props]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_one_line_error(captured.err)
+    assert "repeats" in captured.err
+
+
+@pytest.mark.parametrize("command", [
+    "sample maltsev -n 3 --seed 1",
+    "enumerate maltsev -n 2",
+    "census maltsev -n 3 --samples 5 --seed 1 --property subalg2",
+])
+def test_output_into_missing_directory(command, tmp_path, monkeypatch, capsys):
+    def no_draws(*args):
+        raise AssertionError("census sampled before opening its output")
+
+    monkeypatch.setattr(census, "draw_values", no_draws)
+    out = tmp_path / "missing" / "out.txt"
+    assert main(fixture_argv(command) + ["-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_one_line_error(captured.err)
+
+
+@pytest.mark.parametrize("count", ["-2", "0"])
+def test_sample_rejects_count_below_one(count, maltsev_file, capsys):
+    assert main(["sample", maltsev_file, "-n", "3", "--seed", "1",
+                 "--count", count]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_one_line_error(captured.err)
+
+
+def test_unreadable_input_files(tmp_path, capsys):
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"\xff\xfe\x00")
+    for argv in (["analyze", str(binary)],
+                 ["check", str(binary), "--property", "subalg2"],
+                 ["check", str(tmp_path), "--property", "subalg2"]):
+        assert main(argv) == 2
+        assert_one_line_error(capsys.readouterr().err)
+
+
+def test_failed_census_keeps_existing_output(maltsev_file, tmp_path, monkeypatch,
+                                             capsys):
+    def no_draws(*args):
+        raise BudgetError("draws refused")
+
+    monkeypatch.setattr(census, "draw_values", no_draws)
+    out = tmp_path / "out.csv"
+    out.write_text("previous results\n")
+    assert main(["census", maltsev_file, "-n", "3", "--samples", "5", "--seed",
+                 "1", "--property", "subalg2", "-o", str(out)]) == 3
+    assert_one_line_error(capsys.readouterr().err)
+    assert out.read_text() == "previous results\n"
+
+
+def test_check_rejects_algebra_of_another_signature(maltsev_file, tmp_path,
+                                                    capsys):
+    other = tmp_path / "g.mlt"
+    other.write_text("signature g/3\nidentity g(x,y,y) = x\nidentity g(x,x,y) = y\n")
+    alg = tmp_path / "alg.json"
+    assert main(["sample", str(other), "-n", "3", "--seed", "1", "-o", str(alg)]) == 0
+    assert main(["check", str(alg), "--system", maltsev_file,
+                 "--property", "subalg2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_one_line_error(captured.err)
+
+
+def test_enumerate_family_rejects_non_idempotent_system(tmp_path, capsys):
+    system = tmp_path / "nonidem.mlt"
+    system.write_text("signature f/2\nidentity f(x,y) = f(y,x)\n")
+    assert main(["enumerate", str(system), "-n", "2"]) == 1
+    assert_one_line_error(capsys.readouterr().err)
+    assert main(["enumerate", str(system), "-n", "2", "--backend", "brute"]) == 0
