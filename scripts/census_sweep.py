@@ -30,15 +30,13 @@ def main():
     ap.add_argument("--samples", type=int, default=10000)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--property", default="subalg2")
-    ap.add_argument("--threads", type=int, default=4)
     ap.add_argument("-o", "--output")
     args = ap.parse_args()
 
     spec = load(args.system)
     sizes = [int(s) for s in args.sizes.split(",")]
     props = tuple(p.strip() for p in args.property.split(","))
-    reports = sweep_census(spec, sizes, args.samples, args.seed, props,
-                           threads=args.threads)
+    reports = sweep_census(spec, sizes, args.samples, args.seed, props)
     if args.output:
         with open(args.output, "w", newline="") as fh:
             write_csv(reports, fh)

@@ -1,20 +1,18 @@
 """Seeded Monte Carlo census of property frequencies over uniform random
 models, with exact finite-n or asymptotic theory comparison.
 
-Determinism contract: sample j uses seed mix(master_seed, j); draws are
-consumed in the fixed orbit-key order; sample indices are split
-round-robin across workers and aggregated by commutative integer
-addition, so the report is byte-identical for any thread count.
+Determinism contract: sample j uses seed mix(master_seed, j) and its
+draws are consumed in the fixed orbit-key order; samples 0..K-1 are
+evaluated in order, so the report depends only on (system, n, K, seed,
+properties).
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import hashlib
 import io
 import math
-import threading
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import combinations, permutations, product
@@ -23,7 +21,7 @@ import numpy as np
 
 from . import checkers
 from .analysis import canonical_transversal
-from .closure import compute_closure, validate_assumptions
+from .closure import checked_closure
 from .errors import BudgetError, DomainError
 from .factory import (
     TablePlan,
@@ -44,7 +42,6 @@ from .terms import Signature, SystemSpec, pattern_of, render_system
 
 MAX_N = 64
 MAX_SAMPLES = 1_000_000
-MAX_THREADS = 64
 _WILSON_Z = 1.959963984540054  # 95% two-sided normal quantile
 
 
@@ -55,7 +52,6 @@ class Experiment:
     num_samples: int
     master_seed: int
     properties: tuple[str, ...]
-    threads: int = 1
     # {property: (registry entry, argument)}, parsed once here
     parsed: dict = field(init=False, repr=False, compare=False)
 
@@ -64,8 +60,6 @@ class Experiment:
             raise BudgetError(f"samples must be in 1..{MAX_SAMPLES}")
         if self.n < 1 or self.n > MAX_N:
             raise BudgetError(f"n must be in 1..{MAX_N}")
-        if self.threads < 1 or self.threads > MAX_THREADS:
-            raise BudgetError(f"threads must be in 1..{MAX_THREADS}")
         if not self.properties:
             raise DomainError("at least one property required")
         object.__setattr__(self, "parsed", parse_properties(
@@ -124,11 +118,8 @@ class CensusEngine:
     """Everything derivable from the system alone, shared across samples."""
 
     def __init__(self, spec: SystemSpec, **closure_opts):
-        report = validate_assumptions(spec, **closure_opts)
-        if not report.ok:
-            raise DomainError(f"system fails the standing assumptions: {report.detail}")
         self.spec = spec
-        self.closure = compute_closure(spec, **closure_opts)
+        self.closure = checked_closure(spec, **closure_opts)
         self.transversal = canonical_transversal(self.closure)
         self.params = parameters(self.transversal)
         self.dispatch = build_dispatch(self.closure, self.transversal)
@@ -136,14 +127,12 @@ class CensusEngine:
         digest = hashlib.sha256(text.encode()).hexdigest()[:8]
         self.system_label = f"{spec.name or 'system'}#{digest}"
         self._nctx: dict[int, _NContext] = {}
-        self._lock = threading.Lock()
 
     def context(self, n: int) -> "_NContext":
-        with self._lock:
-            ctx = self._nctx.get(n)
-            if ctx is None:
-                ctx = _NContext(self, n)
-                self._nctx[n] = ctx
+        ctx = self._nctx.get(n)
+        if ctx is None:
+            ctx = _NContext(self, n)
+            self._nctx[n] = ctx
         return ctx
 
 
@@ -545,30 +534,19 @@ def run_census(experiment: Experiment, engine: CensusEngine | None = None) -> Ce
         engine = CensusEngine(experiment.system)
     ctx = engine.context(experiment.n)
     props, parsed = experiment.properties, experiment.parsed
-    # build shared index arrays before the workers start
+    # build the index arrays before the first sample
     for entry, arg in parsed.values():
         for name in entry.prewarm:
             getattr(ctx, name)(*(() if arg is None else (arg,)))
 
-    def worker(start: int) -> dict[str, int]:
-        counts = {p: 0 for p in props}
-        for j in range(start, experiment.num_samples, experiment.threads):
-            flat = draw_values(mix(experiment.master_seed, j),
-                               experiment.n, ctx.total_draws)
-            ev = _SampleEval(ctx, flat, parsed)
-            for p in props:
-                if ev.evaluate(p):
-                    counts[p] += 1
-        return counts
-
-    if experiment.threads <= 1:
-        totals = worker(0)
-    else:
-        totals = {p: 0 for p in props}
-        with concurrent.futures.ThreadPoolExecutor(max_workers=experiment.threads) as ex:
-            for counts in ex.map(worker, range(experiment.threads)):
-                for p, c in counts.items():
-                    totals[p] += c
+    totals = {p: 0 for p in props}
+    for j in range(experiment.num_samples):
+        flat = draw_values(mix(experiment.master_seed, j),
+                           experiment.n, ctx.total_draws)
+        ev = _SampleEval(ctx, flat, parsed)
+        for p in props:
+            if ev.evaluate(p):
+                totals[p] += 1
 
     rows = []
     N = experiment.num_samples
@@ -590,13 +568,12 @@ def run_census(experiment: Experiment, engine: CensusEngine | None = None) -> Ce
 
 
 def sweep_census(spec: SystemSpec, n_list, samples: int, seed: int,
-                 properties, threads: int = 1) -> list[CensusReport]:
+                 properties) -> list[CensusReport]:
     """One census per n, sub-seeded by mix(seed, n)."""
     engine = CensusEngine(spec)
     out = []
     for n in n_list:
-        exp = Experiment(spec, n, samples, mix(seed, n), tuple(properties),
-                         threads)
+        exp = Experiment(spec, n, samples, mix(seed, n), tuple(properties))
         out.append(run_census(exp, engine))
     return out
 

@@ -20,8 +20,8 @@ from . import census as census_mod
 from . import checkers, factory, library, params as params_mod
 from .analysis import (canonical_transversal, classify_minimal, minimal_terms,
                        orbit_partition)
-from .closure import (DEFAULT_MAX_VARS, compute_closure, entails_auto,
-                      is_satisfiable, validate_assumptions)
+from .closure import (DEFAULT_MAX_VARS, checked_closure, compute_closure,
+                      entails_auto, validate_assumptions)
 from .errors import DomainError, MaltkitError, ParseError
 from .terms import (Identity, parse_system, render_system, render_term,
                     variable_names)
@@ -214,10 +214,7 @@ def cmd_sample(args) -> int:
     if args.count < 1:
         raise DomainError("--count must be at least 1")
     spec = _load_system(args.system)
-    report = validate_assumptions(spec, max_vars=args.max_vars)
-    if not report.ok:
-        raise DomainError(f"system assumptions fail: {report.detail}")
-    closure = compute_closure(spec, max_vars=args.max_vars)
+    closure = checked_closure(spec, max_vars=args.max_vars)
     trans = canonical_transversal(closure)
     dispatch = factory.build_dispatch(closure, trans, spec.signature)
     factory.check_cells(spec.signature, args.n)
@@ -231,13 +228,12 @@ def cmd_sample(args) -> int:
 
 def cmd_enumerate(args) -> int:
     spec = _load_system(args.system)
-    if args.backend == "family":
-        report = validate_assumptions(spec, max_vars=args.max_vars)
-        if not report.ok:
-            raise DomainError(f"system assumptions fail: {report.detail}")
+    closure = (checked_closure(spec, max_vars=args.max_vars)
+               if args.backend == "family" else None)
     with _out_stream(args) as fh:
         count = 0
-        for alg in factory.enumerate_models(spec, args.n, backend=args.backend):
+        for alg in factory.enumerate_models(spec, args.n, backend=args.backend,
+                                            closure=closure):
             fh.write(factory.algebra_to_json(alg) + "\n")
             count += 1
     print(f"{count} models", file=sys.stderr)
@@ -273,7 +269,7 @@ def cmd_census(args) -> int:
     seed = _require_seed(args)
     spec = _load_system(args.system)
     exp = census_mod.Experiment(spec, args.n, args.samples, seed,
-                                _property_list(args), args.threads)
+                                _property_list(args))
     engine = census_mod.CensusEngine(spec, max_vars=args.max_vars)
     if args.output:  # an unwritable path fails before sampling; none is truncated
         _out_stream(args, "a").close()
@@ -353,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", help="master seed (unsigned 64-bit)")
     p.add_argument("--property", required=True)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_census)
 

@@ -18,7 +18,6 @@ rather than m^m.  The fixpoint property is still asserted in tests.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -174,14 +173,10 @@ class ClosurePartition:
 
 
 _cache: dict[tuple[str, int, int], ClosurePartition] = {}
-_cache_lock = threading.Lock()
 
 
-def build_universe(sig: Signature, m: int, *, max_vars: int = DEFAULT_MAX_VARS,
+def build_universe(sig: Signature, m: int, *,
                    max_universe: int = DEFAULT_MAX_UNIVERSE) -> TermUniverse:
-    if m > max_vars:
-        raise BudgetError(
-            f"m={m} exceeds the variable budget {max_vars} (raise with --max-vars)")
     uni = TermUniverse(sig, m)
     if uni.size > max_universe:
         raise BudgetError(
@@ -193,20 +188,22 @@ def compute_closure(spec: SystemSpec, m: int | None = None, *,
                     max_vars: int = DEFAULT_MAX_VARS,
                     max_universe: int = DEFAULT_MAX_UNIVERSE) -> ClosurePartition:
     """Closure over {x_1..x_m}; m defaults to the least count that is large
-    enough for Sigma.  Results are cached per (system text, m)."""
+    enough for Sigma.  Results are cached per (system text, m, universe
+    budget); the variable budget is checked before the cache is read."""
     req = required_variable_count(spec)
     if m is None:
         m = req
     if m < req:
         raise DomainError(f"m={m} is too small for this system (needs {req})")
+    if m > max_vars:
+        raise BudgetError(
+            f"m={m} exceeds the variable budget {max_vars} (raise with --max-vars)")
     key = (render_system(spec), m, max_universe)
-    with _cache_lock:
-        cached = _cache.get(key)
+    cached = _cache.get(key)
     if cached is not None:
         return cached
 
-    universe = build_universe(spec.signature, m, max_vars=max_vars,
-                              max_universe=max_universe)
+    universe = build_universe(spec.signature, m, max_universe=max_universe)
     clo = ClosurePartition(spec, universe)
     rng_vars = range(1, m + 1)
     for ident in spec.identities:
@@ -229,8 +226,7 @@ def compute_closure(spec: SystemSpec, m: int | None = None, *,
                                 + sum((gamma[a - 1] - 1) * p for a, p in zip(args, pows)))
             clo.union(pair[0], pair[1])
 
-    with _cache_lock:
-        _cache.setdefault(key, clo)
+    _cache[key] = clo
     return clo
 
 
@@ -292,3 +288,14 @@ def validate_assumptions(spec: SystemSpec, *, max_vars: int = DEFAULT_MAX_VARS,
     if not nontrivial:
         detail.append("every linear term is equivalent to a variable")
     return AssumptionReport(idem, sat, nontrivial, clo.m, "; ".join(detail))
+
+
+def checked_closure(spec: SystemSpec, *, max_vars: int = DEFAULT_MAX_VARS,
+                    max_universe: int = DEFAULT_MAX_UNIVERSE) -> ClosurePartition:
+    """The closure over the default m of a system that meets the standing
+    assumptions (idempotent, satisfiable, with a nontrivial linear term);
+    DomainError names the ones that fail."""
+    report = validate_assumptions(spec, max_vars=max_vars, max_universe=max_universe)
+    if not report.ok:
+        raise DomainError(f"system fails the standing assumptions: {report.detail}")
+    return compute_closure(spec, max_vars=max_vars, max_universe=max_universe)

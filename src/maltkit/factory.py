@@ -375,7 +375,9 @@ def algebra_from_json(text: str) -> FiniteAlgebra:
     if n < 1:
         raise DomainError("algebra needs n >= 1")
     for (name, arity), table in zip(symbols, tables):
-        if len(table) != n ** arity:
+        # a table shorter than its arity is wrong for any n >= 2; saying so
+        # first skips computing n ** arity for a huge declared arity
+        if (n >= 2 and arity > len(table)) or len(table) != n ** arity:
             raise DomainError(f"table for {name!r} has wrong length")
         if any(not 0 <= v < n for v in table):
             raise DomainError(f"table for {name!r} has out-of-range values")

@@ -5,8 +5,12 @@ of the exact finite-n value."""
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -33,10 +37,10 @@ def three_sigma(p, n):
     return 3 * math.sqrt(p * (1 - p) / n)
 
 
-def census(spec, n, samples, seed, props, threads=4, engine=None):
+def census(spec, n, samples, seed, props, engine=None):
     engine = engine or CensusEngine(spec)
     exp = Experiment(system=spec, n=n, num_samples=samples, master_seed=seed,
-                     properties=props, threads=threads)
+                     properties=props)
     return run_census(exp, engine=engine), engine
 
 
@@ -177,15 +181,14 @@ def criterion6_engine():
     return CensusEngine(builtin_system("maltsev"))
 
 
-def _criterion6_run(engine, threads):
+def _criterion6_run(engine):
     exp = Experiment(system=engine.spec, n=16, num_samples=20_000,
-                     master_seed=777, properties=("subalg2", "minority2"),
-                     threads=threads)
+                     master_seed=777, properties=("subalg2", "minority2"))
     return run_census(exp, engine=engine)
 
 
 def test_criterion_06_exact_finite_n_census(criterion6_engine):
-    report = _criterion6_run(criterion6_engine, threads=4)
+    report = _criterion6_run(criterion6_engine)
     t_sub = 1 - (1 - 1 / 64) ** 120
     t_min = 1 - (1 - 1 / 256) ** 120
     assert abs(t_sub - 0.8489) < 5e-4 and abs(t_min - 0.3749) < 5e-4
@@ -290,9 +293,18 @@ def test_criterion_12_tail_diagnostic():
           f"for n in 10..1000, murskii tail decreasing; {elapsed:.1f}s)")
 
 
-def test_criterion_13_thread_determinism(criterion6_engine):
-    texts = {csv_text([_criterion6_run(criterion6_engine, threads=t)])
-             for t in (1, 4, 16)}
-    assert len(texts) == 1
-    print("CRITERION 13: PASS (criterion-6 census byte-identical across "
-          "threads 1, 4, 16)")
+def test_criterion_13_census_determinism(criterion6_engine):
+    first, second = (csv_text([_criterion6_run(criterion6_engine)])
+                     for _ in range(2))
+    assert first == second
+    # a fresh interpreter starts with cold closure and orbit caches
+    src = Path(__file__).resolve().parent.parent / "src"
+    cli = subprocess.run(
+        [sys.executable, "-m", "maltkit.cli", "census",
+         str(src / "maltkit" / "systems" / "maltsev.mlt"), "-n", "16",
+         "--samples", "20000", "--seed", "777", "--property", "subalg2,minority2"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert cli.stdout == first
+    print("CRITERION 13: PASS (criterion-6 census byte-identical in two runs "
+          "on one engine and in a fresh `maltkit census` process)")

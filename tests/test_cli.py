@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -112,7 +113,7 @@ def test_census_cli(maltsev_file, tmp_path):
     out = tmp_path / "census.csv"
     assert main(["census", maltsev_file, "-n", "6", "--samples", "500",
                  "--seed", "11", "--property", "subalg2,fixedB=0+1",
-                 "--threads", "2", "-o", str(out)]) == 0
+                 "-o", str(out)]) == 0
     text = out.read_text()
     lines = text.split("\n")
     assert lines[0].startswith("system,n,samples,master_seed,property")
@@ -121,7 +122,7 @@ def test_census_cli(maltsev_file, tmp_path):
     out2 = tmp_path / "census2.csv"
     assert main(["census", maltsev_file, "-n", "6", "--samples", "500",
                  "--seed", "11", "--property", "subalg2,fixedB=0+1",
-                 "--threads", "7", "-o", str(out2)]) == 0
+                 "-o", str(out2)]) == 0
     assert out2.read_text() == text
 
 
@@ -171,7 +172,7 @@ PINNED_OUTPUTS = [
      "--property subalg2,subalgGT1,idemprimal,fixedB=0+1+2",
      "b3fce2088ab8314aed15f3e84a541a52f6494e09cb28704041f493e6156322ad"),
     ("census majority -n 4 --samples 100 --seed 12345 "
-     "--property subalg2,subalg3,automorphism,cross --threads 3",
+     "--property subalg2,subalg3,automorphism,cross",
      "a7dde62fe22a0e9931b1dbb8120ab6ee5720fe47e3c7f7d5c85f987486535abd"),
 ]
 
@@ -211,24 +212,33 @@ def test_budget_checked_before_orbit_index(command, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("options,code", [
-    (["--threads", "-3"], 3),
-    (["--threads", "0"], 3),
-    (["--threads", "1000000"], 3),
+    (["--samples", "0"], 3),
+    (["--samples", "1000001"], 3),
+    (["-n", "65"], 3),
     (["--property", "fixedB=0+99"], 1),
     (["--property", "fixedB=-1+2"], 1),
     (["--property", "minority2=zz"], 1),
 ])
 def test_census_rejects_bad_inputs(options, code, maltsev_file, monkeypatch,
                                    capsys):
-    def no_threads(*args, **kwargs):
-        raise AssertionError("worker threads started")
+    def no_draws(*args):
+        raise AssertionError("census sampled before checking its inputs")
 
-    monkeypatch.setattr(census.concurrent.futures, "ThreadPoolExecutor",
-                        no_threads)
+    monkeypatch.setattr(census, "draw_values", no_draws)
     argv = ["census", maltsev_file, "-n", "8", "--samples", "10", "--seed",
             "1", "--property", "subalg2"] + options
     assert main(argv) == code
     assert_one_line_error(capsys.readouterr().err)
+
+
+def test_census_has_no_threads_option(maltsev_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["census", maltsev_file, "-n", "4", "--samples", "10", "--seed",
+              "1", "--property", "subalg2", "--threads", "2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --threads 2" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("prop", ["minority2", "minority2=c"])
@@ -242,6 +252,18 @@ def test_census_minority2_needs_ternary_symbol(prop, capsys):
 def test_enumerate_rejects_empty_carrier(n, maltsev_file, capsys):
     assert main(["enumerate", maltsev_file, "-n", n]) == 1
     assert_one_line_error(capsys.readouterr().err)
+
+
+def test_check_rejects_huge_arity_before_the_table_size(tmp_path, capsys):
+    # computing 3 ** 10 ** 8 takes minutes; the short table says enough
+    path = tmp_path / "alg.json"
+    path.write_text('{"n": 3, "operations": {"f": {"arity": 100000000, "table": [0]}}}')
+    start = time.perf_counter()
+    assert main(["check", str(path), "--property", "subalg2"]) == 1
+    assert time.perf_counter() - start < 5
+    err = capsys.readouterr().err
+    assert_one_line_error(err)
+    assert "wrong length" in err
 
 
 def test_check_rejects_empty_carrier(tmp_path, capsys):
@@ -427,3 +449,29 @@ def test_enumerate_family_rejects_non_idempotent_system(tmp_path, capsys):
     assert main(["enumerate", str(system), "-n", "2"]) == 1
     assert_one_line_error(capsys.readouterr().err)
     assert main(["enumerate", str(system), "-n", "2", "--backend", "brute"]) == 0
+
+
+def test_enumerate_uses_the_checked_closure(maltsev_file, monkeypatch, capsys):
+    def no_closure(*args, **kwargs):
+        raise AssertionError("enumerate_models computed its own closure")
+
+    # a second closure would ignore --max-vars and take the default budget
+    monkeypatch.setattr(factory, "compute_closure", no_closure)
+    assert main(["enumerate", maltsev_file, "-n", "2", "--max-vars", "3"]) == 0
+    assert capsys.readouterr().err == "4 models\n"
+
+
+@pytest.mark.parametrize("command", [
+    "census nonidem.mlt -n 3 --samples 5 --seed 1 --property subalg2",
+    "sample nonidem.mlt -n 3 --seed 1",
+    "enumerate nonidem.mlt -n 2",
+])
+def test_standing_assumptions_error_is_shared(command, tmp_path, capsys):
+    system = tmp_path / "nonidem.mlt"
+    system.write_text("signature f/2\nidentity f(x,y) = f(y,x)\n")
+    argv = command.split()
+    argv[1] = str(system)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: system fails the standing assumptions: "
+        "symbol 'f' is not idempotent\n")

@@ -3,8 +3,9 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from maltkit.closure import (compute_closure, entails, entails_auto,
-                             is_satisfiable, triviality_witness,
+from maltkit import closure
+from maltkit.closure import (checked_closure, compute_closure, entails,
+                             entails_auto, is_satisfiable, triviality_witness,
                              validate_assumptions)
 from maltkit.errors import BudgetError, DomainError
 from maltkit.terms import LinearTerm, parse_system, substitute
@@ -142,6 +143,22 @@ def test_entails_requires_enough_variables(maltsev_spec):
     t = LinearTerm.app(0, (3, 2, 4))  # four variables across the query
     with pytest.raises(DomainError):
         entails(clo, s, t)
+
+
+def test_variable_budget_holds_on_a_warm_cache(maltsev_spec, monkeypatch):
+    monkeypatch.setattr(closure, "_cache", {})
+    with pytest.raises(BudgetError):
+        compute_closure(maltsev_spec, max_vars=2)
+    compute_closure(maltsev_spec)  # caches the m=3 closure
+    with pytest.raises(BudgetError):
+        compute_closure(maltsev_spec, max_vars=2)
+
+
+def test_checked_closure(maltsev_spec):
+    assert checked_closure(maltsev_spec) is compute_closure(maltsev_spec)
+    spec = parse_system("signature f/2\nidentity f(x,y) = x\n")
+    with pytest.raises(DomainError, match="every linear term is equivalent"):
+        checked_closure(spec)
 
 
 def test_closure_cache_returns_same_object(maltsev_spec):
