@@ -15,7 +15,7 @@ import io
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .params import (
     p_of_k,
     parameters,
 )
-from .terms import Signature, SystemSpec, pattern_of, render_system
+from .terms import Signature, SystemSpec, render_system
 
 MAX_N = 64
 MAX_SAMPLES = 1_000_000
@@ -162,29 +162,29 @@ class _NContext:
             self._cache[key] = build()
         return self._cache[key]
 
-    def _subset_row(self, sub) -> list[int]:
-        """Draw positions of the keys with every argument in sub, entry by
-        entry (each entry's positions sorted)."""
-        row = []
-        for ei, e in enumerate(self.engine.transversal.entries[1:], start=1):
-            row.extend(sorted({self.oi.position(ei, u)
-                               for u in permutations(sub, e.d)}))
-        return row
+    def _inside(self, S: np.ndarray) -> np.ndarray:
+        """Row r: the draw positions of the keys with every argument in the
+        sorted row S[r], entry by entry, each entry's in draw order.  The
+        map j -> S[r][j] preserves order, so it carries the keys at carrier
+        size k = len(S[r]) onto the keys inside S[r]."""
+        inner = orbit_index(self.engine.transversal, S.shape[1])
+        return np.concatenate([np.zeros((len(S), 0), dtype=np.int64)] + [
+            self.oi.position(ei, S[:, inner.keys(ei)])
+            for ei in range(1, len(self.engine.transversal))], axis=1)
 
     def _subset_arrays(self, k: int):
-        subsets = list(combinations(range(self.n), k))
-        return (_int_rows([self._subset_row(sub) for sub in subsets], len(subsets)),
-                np.array(subsets, dtype=np.int64).reshape(-1, k))
+        S = np.array(list(combinations(range(self.n), k)), dtype=np.int64).reshape(-1, k)
+        return self._inside(S), S
 
     def fixed_b_arrays(self, B: tuple[int, ...]):
         """The positions of the keys inside B, and B."""
         return self._cached(("fixedB", B), lambda: (
-            np.array(self._subset_row(B), dtype=np.int64),
+            self._inside(np.array([B], dtype=np.int64))[0],
             np.array(B, dtype=np.int64)))
 
     def pair_arrays(self):
         """(P, S): row i of P holds the positions of the keys inside the
-        unordered pair S[i]."""
+        unordered pair S[i]; column c is draw position c at n = 2."""
         return self._cached("pairs", lambda: self._subset_arrays(2))
 
     def triple_arrays(self):
@@ -198,25 +198,10 @@ class _NContext:
         match the minority pattern (see _minority_symbolic)."""
         def build():
             feasible, forced, member = _minority_symbolic(self.engine, symbol)
-            pairs = list(combinations(range(self.n), 2))
-
-            def positions(keys, ab):
-                return [self.oi.position(ei, tuple(ab[x] for x in key01))
-                        for ei, key01, *_ in keys]
-            return (feasible,
-                    _int_rows([positions(forced, ab) for ab in pairs], len(pairs)),
-                    _int_rows([[ab[req] for *_, req in forced] for ab in pairs],
-                              len(pairs)),
-                    _int_rows([positions(member, ab) for ab in pairs], len(pairs)),
-                    np.array(pairs, dtype=np.int64).reshape(-1, 2))
+            P, S = self.pair_arrays()
+            return (feasible, P[:, [c for c, _ in forced]],
+                    S[:, [req for _, req in forced]], P[:, member], S)
         return self._cached(("minority", symbol), build)
-
-
-def _int_rows(rows: list[list[int]], count: int) -> np.ndarray:
-    """count equal-length rows as a 2-D int64 array, also when empty."""
-    if rows and rows[0]:
-        return np.array(rows, dtype=np.int64)
-    return np.zeros((count, 0), dtype=np.int64)
 
 
 def _in_rows(vals: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -229,45 +214,33 @@ def _in_rows(vals: np.ndarray, S: np.ndarray) -> np.ndarray:
 
 def _minority_symbolic(engine: CensusEngine, symbol: int):
     """Constraints for 'the pair {a,b} is a subuniverse and the designated
-    symbol restricts to the minority operation on it', expressed over a
-    symbolic pair (0,1).  Returns (feasible, forced, member) where forced
-    is [(entry, key over {0,1}, required 0/1)] for the minority cells and
-    member is [(entry, key)] for the other symbols' closure cells."""
+    symbol restricts to the minority operation on it', read off the plan
+    at n = 2, whose draws are the keys over the symbolic pair (0,1).
+    Returns (feasible, forced, member) where forced is [(draw position at
+    n = 2, required 0/1)] for the minority cells and member the positions
+    of the other symbols' closure cells."""
     sig = engine.spec.signature
     if sig.arity(symbol) != 3:
         raise DomainError("minority2 needs a ternary designated symbol")
-    # orbit keys over the symbolic pair {0, 1}
-    canon = orbit_index(engine.transversal, 2).canonical
-
-    forced: dict[tuple, int] = {}
-    member: set[tuple] = set()
+    forced: dict[int, int] = {}
+    member: set[int] = set()
     feasible = True
     want = checkers._minority_values(0, 1)
-    for sym in range(len(sig)):
-        d = sig.arity(sym)
-        for args in product((0, 1), repeat=d):
+    for sym, (pos, var_idx, var_arg, d) in enumerate(engine.dispatch.plan(2).symbols):
+        selected = dict(zip(var_idx.tolist(), var_arg.tolist()))
+        for idx, args in enumerate(product((0, 1), repeat=d)):
             if len(set(args)) == 1:
                 continue  # idempotent cell, always fine
-            entry, sigma = engine.dispatch.rules[sym][pattern_of(args).labels]
             if sym == symbol:
                 req = want[args]
-                if entry == 0:
-                    if args[sigma[0] - 1] != req:
-                        feasible = False
+                if idx in selected:
+                    feasible &= selected[idx] == req
                 else:
-                    k = (entry, canon(entry, tuple(args[s - 1] for s in sigma)))
-                    if k in forced and forced[k] != req:
-                        feasible = False
-                    forced[k] = req
-            else:
-                if entry == 0:
-                    continue  # value is one of a, b already
-                k = (entry, canon(entry, tuple(args[s - 1] for s in sigma)))
-                member.add(k)
+                    feasible &= forced.setdefault(int(pos[idx]), req) == req
+            elif idx not in selected:  # a selected value is one of a, b already
+                member.add(int(pos[idx]))
     member -= set(forced)  # forced values are already in the pair
-    forced_list = sorted((ei, k, v) for (ei, k), v in forced.items())
-    member_list = sorted(member)
-    return feasible, forced_list, member_list
+    return feasible, sorted(forced.items()), sorted(member)
 
 
 def minority_pair_probability(engine: CensusEngine, symbol: int, n: int):
@@ -480,7 +453,7 @@ PROPERTIES = {p.name: p for p in (
              family=_subalg_gt1_family, prewarm=("realizer", "pair_arrays")),
     Property("automorphism", 2, _automorphism_table, _rigid_theory,
              prewarm=("realizer",)),
-    Property("cross", 1, _found(checkers._any_cross_np), _rigid_theory,
+    Property("cross", 2, _found(checkers._any_cross_np), _rigid_theory,
              prewarm=("realizer",)),
     Property("idemprimal", 3, _idemprimal_table,
              lambda engine, _, n: ("asymptotic", idemprimality_verdict(

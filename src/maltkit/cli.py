@@ -340,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", help="optional .mlt file to validate against")
     p.add_argument("--property", required=True,
                    help="comma-separated property list")
-    p.add_argument("--max-vars", type=int, default=DEFAULT_MAX_VARS)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("census", help="seeded Monte Carlo property census")

@@ -16,8 +16,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from itertools import permutations, product
-from operator import itemgetter
+from itertools import combinations, permutations, product
 
 import numpy as np
 
@@ -25,7 +24,7 @@ from .analysis import Transversal, canonical_transversal
 from .closure import ClosurePartition, compute_closure
 from .errors import BudgetError, DomainError, ParseError
 from .params import p_of_k, parameters
-from .terms import LinearTerm, Signature, SystemSpec, pattern_of
+from .terms import LinearTerm, Signature, SystemSpec
 
 DEFAULT_MAX_CELLS = 100_000_000
 
@@ -78,13 +77,12 @@ class FiniteAlgebra:
 
 @dataclass(frozen=True)
 class MFamily:
-    """Independent family data: per transversal entry i >= 1 a map from
-    canonical orbit keys (lex-least injective tuples under G_i) to values
-    in [n].  Entry 0 (the variable entry) is the identity, kept implicit
-    as None."""
+    """Independent family data: the value of h_i at every canonical orbit
+    key (the lex-least injective tuple of a G_i-orbit), flat in draw order
+    (see OrbitIndex).  Entry 0, the variable entry, has no values."""
 
     n: int
-    values: tuple[dict | None, ...]
+    values: tuple[int, ...]
 
 
 class DispatchTable:
@@ -149,32 +147,66 @@ def build_dispatch(closure: ClosurePartition, transversal: Transversal,
 # Orbit key indexing per (transversal, n)
 
 
+def _digit(codes: np.ndarray, n: int, d: int, j: int) -> np.ndarray:
+    """Coordinate j of the d-tuples with the given row-major base-n codes."""
+    return codes // n ** (d - 1 - j) % n
+
+
+def _axis(n: int, d: int, j: int) -> np.ndarray:
+    """Coordinate j over the row-major grid [n]^d, shaped to broadcast."""
+    return np.arange(n).reshape([n if i == j else 1 for i in range(d)])
+
+
+def _least_code(column, group, n: int) -> np.ndarray:
+    """The least base-n code over the G-images (u[g_1-1], ..., u[g_d-1]) of
+    the tuples u whose j-th coordinates are column(j), taken one
+    coordinate and one group element at a time."""
+    def code(g):
+        return functools.reduce(lambda c, p: c * n + column(p - 1), g, 0)
+    return functools.reduce(np.minimum, map(code, group.elements))
+
+
 class OrbitIndex:
-    """The draw layout at a fixed carrier size: per entry i >= 1, the flat
-    position of every canonical orbit key (the lex-least injective tuple
-    under G_i).  Entries come in transversal order and keys in
-    lexicographic order, so positions 0..total-1 are the draw order."""
+    """The draw layout at a fixed carrier size: per entry i >= 1, the
+    sorted base-n codes of its canonical orbit keys (the lex-least
+    injective tuples under G_i).  Base-n codes sort as the tuples do, so
+    entries in transversal order and keys in code order give positions
+    0..total-1 in draw order."""
 
     def __init__(self, transversal: Transversal, n: int):
-        # entries i >= 1 have d_i >= 2, so each getter yields a tuple
-        self._group_getters = [None] + [
-            [itemgetter(*(p - 1 for p in g)) for g in e.group.elements]
-            for e in transversal.entries[1:]]
-        self.pos: list[dict[tuple[int, ...], int] | None] = [None]
-        offset = 0
-        for ei, e in enumerate(transversal.entries[1:], start=1):
-            keys = sorted({self.canonical(ei, u)
-                           for u in permutations(range(n), e.d)})
-            self.pos.append({k: offset + j for j, k in enumerate(keys)})
-            offset += len(keys)
-        self.total = offset
+        self.n = n
+        self.groups = [e.group for e in transversal.entries]
+        self.codes: list[np.ndarray] = [np.zeros(0, dtype=np.int64)]
+        self.offsets = [0]
+        for e in transversal.entries[1:]:
+            d = e.d
+            # the injective tuples that are least in their orbits
+            keep = np.ones((n,) * d, dtype=bool)
+            for j, k in combinations(range(d), 2):
+                keep &= _axis(n, d, j) != _axis(n, d, k)
+            if len(e.group) > 1:
+                keep &= _least_code(lambda j: _axis(n, d, j), e.group, n) \
+                    == np.arange(n ** d).reshape(keep.shape)
+            self.offsets.append(self.offsets[-1] + len(self.codes[-1]))
+            self.codes.append(np.flatnonzero(keep))
+        self.total = self.offsets[-1] + len(self.codes[-1])
 
-    def canonical(self, entry: int, u: tuple[int, ...]) -> tuple[int, ...]:
-        return min(g(u) for g in self._group_getters[entry])
+    def locate(self, entry: int, column) -> np.ndarray:
+        """Flat draw positions of the orbits of the injective tuples whose
+        j-th coordinates are column(j)."""
+        least = _least_code(column, self.groups[entry], self.n)
+        return self.offsets[entry] + np.searchsorted(self.codes[entry], least)
 
-    def position(self, entry: int, u: tuple[int, ...]) -> int:
-        """Flat draw position of the orbit of the injective tuple u."""
-        return self.pos[entry][self.canonical(entry, u)]
+    def position(self, entry: int, U) -> np.ndarray:
+        """Flat draw positions of the orbits of the injective tuples along
+        the last axis of U."""
+        U = np.asarray(U)
+        return self.locate(entry, lambda j: U[..., j])
+
+    def keys(self, entry: int) -> np.ndarray:
+        """The canonical keys of an entry as rows, in draw order."""
+        d, codes = self.groups[entry].degree, self.codes[entry]
+        return np.stack([_digit(codes, self.n, d, j) for j in range(d)], axis=-1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -193,10 +225,8 @@ def sample_mfamily(transversal: Transversal, n: int, seed: int) -> MFamily:
     Total draws = p(n); the induced model distribution is uniform."""
     if n < 1:
         raise DomainError("n must be positive")
-    oi = orbit_index(transversal, n)
-    flat = draw_values(seed, n, oi.total).tolist()
-    return MFamily(n, (None,) + tuple({k: flat[p] for k, p in pos.items()}
-                                      for pos in oi.pos[1:]))
+    total = orbit_index(transversal, n).total
+    return MFamily(n, tuple(draw_values(seed, n, total).tolist()))
 
 
 def check_cells(sig: Signature, n: int) -> None:
@@ -224,20 +254,23 @@ class TablePlan:
         self.symbols = []
         for sym in range(len(sig)):
             d = sig.arity(sym)
-            # pattern -> (entry, picker of the selected argument(s))
-            rules = {mu: (entry, itemgetter(*(s - 1 for s in sigma)))
-                     for mu, (entry, sigma) in dispatch.rules[sym].items()}
+            # the equality kernel of each cell's arguments, one bit per pair
+            pairs = list(combinations(range(d), 2))
+            kernel = np.zeros((n,) * d, dtype=np.int64)
+            for bit, (j, k) in enumerate(pairs):
+                kernel |= (_axis(n, d, j) == _axis(n, d, k)) << bit
             pos = np.zeros(n ** d, dtype=np.int64)
-            var_idx, var_arg = [], []
-            for idx, a in enumerate(product(range(n), repeat=d)):
-                entry, pick = rules[pattern_of(a).labels]
+            var_idx, var_arg = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+            for mu, (entry, sigma) in dispatch.rules[sym].items():
+                mask = sum(1 << bit for bit, (j, k) in enumerate(pairs) if mu[j] == mu[k])
+                idx = np.flatnonzero(kernel == mask)
                 if entry == 0:
                     var_idx.append(idx)
-                    var_arg.append(pick(a))
+                    var_arg.append(_digit(idx, n, d, sigma[0] - 1))
                 else:
-                    pos[idx] = oi.position(entry, pick(a))
-            self.symbols.append((pos, np.array(var_idx, dtype=np.int64),
-                                 np.array(var_arg, dtype=np.int64), d))
+                    pos[idx] = oi.locate(entry, lambda t: _digit(idx, n, d, sigma[t] - 1))
+            self.symbols.append((pos, np.concatenate(var_idx),
+                                 np.concatenate(var_arg), d))
 
     def tables(self, flat: np.ndarray) -> list[tuple[np.ndarray, int]]:
         """[(table, arity)] per symbol for the family laid out in flat."""
@@ -255,11 +288,8 @@ class TablePlan:
 
 
 def realize(dispatch: DispatchTable, mfamily: MFamily) -> FiniteAlgebra:
-    """Lay the family out in draw order and gather its tables."""
-    plan = dispatch.plan(mfamily.n)
-    flat = [mfamily.values[ei][k] for ei, pos in enumerate(plan.oi.pos)
-            if pos is not None for k in pos]
-    return plan.algebra(np.array(flat, dtype=np.int64))
+    """Gather the family's tables through the dispatch table's plan."""
+    return dispatch.plan(mfamily.n).algebra(np.array(mfamily.values, dtype=np.int64))
 
 
 def extract_mfamily(transversal: Transversal, algebra: FiniteAlgebra,
@@ -271,18 +301,13 @@ def extract_mfamily(transversal: Transversal, algebra: FiniteAlgebra,
         ok, witness = validate_model(spec, algebra)
         if not ok:
             raise DomainError(f"algebra is not a model: {witness}")
-    n = algebra.n
-    oi = orbit_index(transversal, n)
-    values: list[dict | None] = [None]
+    oi = orbit_index(transversal, algebra.n)
+    values = []
     for ei, e in enumerate(transversal.entries[1:], start=1):
-        rep = e.rep
-        vals = {}
-        for key in oi.pos[ei]:
-            # rep's variables are x_1..x_d; key supplies their values
-            args = tuple(key[v - 1] for v in rep.args)
-            vals[key] = algebra.value(rep.symbol, args)
-        values.append(vals)
-    return MFamily(n, tuple(values))
+        # rep's variables are x_1..x_d; each key supplies their values
+        values.extend(algebra.value(e.rep.symbol, [int(key[v - 1]) for v in e.rep.args])
+                      for key in oi.keys(ei))
+    return MFamily(algebra.n, tuple(values))
 
 
 def validate_model(spec: SystemSpec, algebra: FiniteAlgebra):

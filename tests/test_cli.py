@@ -174,6 +174,18 @@ PINNED_OUTPUTS = [
     ("census majority -n 4 --samples 100 --seed 12345 "
      "--property subalg2,subalg3,automorphism,cross",
      "a7dde62fe22a0e9931b1dbb8120ab6ee5720fe47e3c7f7d5c85f987486535abd"),
+    # recorded before the draw layout became arrays: entries with d >= 4
+    # and nontrivial symmetry groups
+    ("sample day-2 -n 4 --seed 5 --count 2",
+     "fd568533427925ff971f9ef5b7eb3319abe69e7813695bb310beb00e1ff2a4c6"),
+    ("sample cyclic-5 -n 5 --seed 3",
+     "95354665e0af4c8bdce9146c110b3f50ddef2d286493b6d481364979fa6546ee"),
+    ("census near-unanimity-5 -n 6 --samples 40 --seed 8 "
+     "--property subalg2,subalg3,cross,fixedB=0+2+4",
+     "3006bda2149a7504cea30f1d7390ec2420d1fdee34b5654f274d9db17b8eff63"),
+    ("census commutative-maltsev -n 5 --samples 60 --seed 4 "
+     "--property minority2,subalg2,fixedB=1+3",
+     "b00dc5d23fa9e020979ee430b74b2717927930fb6c400db86f1db6eabd6a2233"),
 ]
 
 
@@ -475,3 +487,29 @@ def test_standing_assumptions_error_is_shared(command, tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: system fails the standing assumptions: "
         "symbol 'f' is not idempotent\n")
+
+
+def test_cross_needs_two_elements(tmp_path, capsys):
+    """At n=1 the cross at 0 is the whole square A x A, so no algebra on
+    one element has a proper cross."""
+    argv = fixture_argv("census maltsev -n 1 --samples 20 --seed 1 --property cross")
+    assert main(argv) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert row[5] == "0"
+    assert row[9:11] == ["exact_finite_n", "0"]
+    alg = tmp_path / "one.json"
+    alg.write_text('{"n":1,"operations":{"f":{"arity":3,"table":[0]}}}')
+    assert main(["check", str(alg), "--property", "cross"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"property": "cross", "holds": False}
+
+
+def test_check_has_no_max_vars_option(tmp_path, capsys):
+    # check computes no closure, so a variable budget would do nothing
+    alg = tmp_path / "one.json"
+    alg.write_text('{"n":1,"operations":{"f":{"arity":3,"table":[0]}}}')
+    with pytest.raises(SystemExit) as exc:
+        main(["check", str(alg), "--property", "cross", "--max-vars", "0"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --max-vars 0" in err
+    assert "Traceback" not in err

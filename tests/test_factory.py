@@ -178,16 +178,28 @@ def test_orbit_index_counts(maltsev_setup, cmaltsev_setup):
             assert oi.total == p_of_k(pars, n)
 
 
+def test_orbit_index_keys_in_draw_order(maltsev_setup):
+    # the example in the README's determinism contract
+    _, _, trans, _ = maltsev_setup
+    assert orbit_index(trans, 3).keys(1).tolist() == [
+        [0, 1], [0, 2], [1, 0], [1, 2], [2, 0], [2, 1]]
+
+
 def test_orbit_index_canonical_constant_on_orbits(cmaltsev_setup):
     _, _, trans, _ = cmaltsev_setup
     oi = orbit_index(trans, 4)
     # ternary entry of the commutative Maltsev example has the (1 3) swap
     entry = next(i for i, e in enumerate(trans.entries) if e.d == 3)
     g = trans.entries[entry].group
+    assert len(g) == 2
     for u in itertools.permutations(range(4), 3):
-        keys = {oi.canonical(entry, tuple(u[p - 1] for p in perm))
-                for perm in g.elements}
-        assert len(keys) == 1
+        orbit = [[u[p - 1] for p in perm] for perm in g.elements]
+        assert len(set(oi.position(entry, orbit).tolist())) == 1
+    # each key is read at its own position, and keys come in draw order
+    keys = oi.keys(entry)
+    positions = oi.position(entry, keys)
+    assert np.array_equal(np.diff(positions), np.ones(len(keys) - 1))
+    assert keys.tolist() == sorted(keys.tolist())
 
 
 # ---------------------------------------------------------------------------
