@@ -386,14 +386,6 @@ def _subalg_gt1_theory(engine, _, n):
     return "asymptotic", 1.0
 
 
-def _automorphism_table(tabs, n, _):
-    ident = tuple(range(n))
-    for perm in checkers._automorphism_search(tabs, n, find_all=False):
-        if perm != ident:
-            return True, list(perm)
-    return False, None
-
-
 def _rigid_theory(engine, _, n):
     """Automorphisms and crosses vanish asymptotically when d_M = 2."""
     return ("asymptotic", 0.0) if engine.params.d_M == 2 else ("none", None)
@@ -451,8 +443,8 @@ PROPERTIES = {p.name: p for p in (
     Property("subalgGT1", 3, _found(checkers._pair_generated_proper),
              _subalg_gt1_theory,
              family=_subalg_gt1_family, prewarm=("realizer", "pair_arrays")),
-    Property("automorphism", 2, _automorphism_table, _rigid_theory,
-             prewarm=("realizer",)),
+    Property("automorphism", 2, _found(checkers._nontrivial_automorphism),
+             _rigid_theory, prewarm=("realizer",)),
     Property("cross", 2, _found(checkers._any_cross_np), _rigid_theory,
              prewarm=("realizer",)),
     Property("idemprimal", 3, _idemprimal_table,

@@ -9,8 +9,9 @@ the _tabs(...) helpers convert between the two views.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -54,9 +55,13 @@ def is_subuniverse(algebra: FiniteAlgebra, B) -> PropertyResult:
     return PropertyResult("subuniverse", True, tuple(B))
 
 
-def _closure_np(tabs, n: int, seed) -> np.ndarray:
+def _closure_np(tabs, n: int, seed, generating=None) -> np.ndarray:
+    """The subuniverse generated by seed, sorted.  Stops at A as soon as it
+    holds a pair marked in the n x n boolean matrix generating, if given."""
     S = np.unique(np.asarray(sorted(seed), dtype=np.int64))
     while True:
+        if generating is not None and generating[np.ix_(S, S)].any():
+            return np.arange(n)
         pieces = [S]
         for tab, d in tabs:
             grid = tab.reshape((n,) * d)
@@ -77,22 +82,22 @@ def has_proper_subalgebra_size_gt1(algebra: FiniteAlgebra) -> PropertyResult:
     n = algebra.n
     if n < 2:
         raise DomainError("carrier must have at least 2 elements")
-    tabs = _tabs(algebra)
-    found = _pair_generated_proper(tabs, n)
-    if found is None:
-        return PropertyResult("proper-subalgebra-gt1", False)
-    return PropertyResult("proper-subalgebra-gt1", True, found)
+    found = _pair_generated_proper(_tabs(algebra), n)
+    return PropertyResult("proper-subalgebra-gt1", found is not None, found)
 
 
 def _pair_generated_proper(tabs, n: int):
     """Smallest-pair witness of a proper subalgebra of size > 1, or None.
     Any proper subalgebra of size >= 2 contains a 2-generated proper one,
-    so O(n^2) pair closures suffice."""
+    so O(n^2) pair closures suffice.  A proper closure never holds a pair
+    known to generate A, so its early stop leaves the witness unchanged."""
+    generating = np.zeros((n, n), dtype=bool)
     for a in range(n):
         for b in range(a + 1, n):
-            S = _closure_np(tabs, n, (a, b))
+            S = _closure_np(tabs, n, (a, b), generating)
             if len(S) < n:
                 return [int(x) for x in S]
+            generating[a, b] = generating[b, a] = True
     return None
 
 
@@ -100,9 +105,7 @@ def subalgebras_of_size(algebra: FiniteAlgebra, k: int) -> list[tuple[int, ...]]
     n = algebra.n
     if not 2 <= k < n:
         raise DomainError("need 2 <= k < n")
-    total = 1
-    for j in range(k):
-        total = total * (n - j) // (j + 1)
+    total = math.comb(n, k)
     if total > SUBSET_BUDGET:
         raise BudgetError(f"C({n},{k}) = {total} subsets exceed the budget")
     out = []
@@ -117,14 +120,12 @@ def subalgebras_of_size(algebra: FiniteAlgebra, k: int) -> list[tuple[int, ...]]
 
 
 def _propagate(tabs, n: int, gens, imgs):
-    """Extend a generator assignment to a full map by evaluating the term
-    closure on both sides; returns the map array or None on conflict.
-    Only a pruning device: survivors still get a full homomorphism check."""
+    """Extend images of the (distinct) generators to a full map by evaluating
+    the term closure on both sides; returns the map array or None on
+    conflict.  Only a pruning device: survivors still get a full
+    homomorphism check."""
     phi = np.full(n, -1, dtype=np.int64)
-    for g, im in zip(gens, imgs):
-        if phi[g] != -1 and phi[g] != im:
-            return None
-        phi[g] = im
+    phi[gens] = imgs
     D = np.unique(np.asarray(gens, dtype=np.int64))
     while True:
         srcs, ims = [D], [phi[D]]
@@ -162,62 +163,68 @@ def _is_automorphism(tabs, n: int, phi: np.ndarray) -> bool:
 
 
 def _generator_chain(tabs, n: int) -> list[int]:
-    gens = []
-    S = np.empty(0, dtype=np.int64)
+    gens, S = [], set()
     while len(S) < n:
-        for g in range(n):
-            if g not in S:
-                break
-        gens.append(g)
-        S = _closure_np(tabs, n, list(S) + [g])
+        gens.append(min(set(range(n)) - S))
+        S = set(_closure_np(tabs, n, S | {gens[-1]}).tolist())
     return gens
 
 
-def _automorphism_search(tabs, n: int, find_all: bool):
+def _invariants(tabs, n: int) -> np.ndarray:
+    """Per element (row), counts every automorphism preserves: per operation,
+    the cells with that value and, per coordinate, the cells fixing it there."""
+    cols = []
+    for tab, d in tabs:
+        grid = tab.reshape((n,) * d)
+        cols.append(np.bincount(tab, minlength=n))
+        for j in range(d):
+            at_j = np.arange(n).reshape((n,) + (1,) * (d - 1 - j))
+            cols.append(np.bincount(grid[grid == at_j], minlength=n))
+    return np.stack(cols, axis=1)
+
+
+def _automorphism_search(tabs, n: int):
+    """Yield every automorphism as an image tuple, in lexicographic order of
+    the chain's images.  The budget counts all injective images of the
+    chain; only those with each generator's invariants are tried."""
     gens = _generator_chain(tabs, n)
-    total = 1
-    for j in range(len(gens)):
-        total *= n - j
+    total = math.perm(n, len(gens))
     if total > 500_000:
         raise BudgetError(
             f"{total} candidate generator images exceed the search budget")
-    found = []
-    identity = tuple(gens)
-    for imgs in permutations(range(n), len(gens)):
-        phi = _propagate(tabs, n, gens, imgs)
-        if phi is None or not _is_automorphism(tabs, n, phi):
+    inv = _invariants(tabs, n)
+    candidates = [np.flatnonzero((inv == inv[g]).all(axis=1)).tolist()
+                  for g in gens]
+    for imgs in product(*candidates):
+        if len(set(imgs)) < len(imgs):
             continue
-        perm = tuple(int(x) for x in phi)
-        found.append(perm)
-        if not find_all and imgs != identity:
-            # a nontrivial automorphism exists
-            return found
-    return found
+        phi = _propagate(tabs, n, gens, imgs)
+        if phi is not None and _is_automorphism(tabs, n, phi):
+            yield tuple(int(x) for x in phi)
+
+
+def _nontrivial_automorphism(tabs, n: int):
+    """The first non-identity automorphism in search order, or None."""
+    identity = tuple(range(n))
+    return next((p for p in _automorphism_search(tabs, n) if p != identity), None)
+
+
+def _check_automorphism_n(n: int) -> None:
+    if n > AUTOMORPHISM_MAX_N:
+        raise BudgetError(f"n={n} exceeds the automorphism budget {AUTOMORPHISM_MAX_N}")
 
 
 def automorphisms(algebra: FiniteAlgebra) -> list[tuple[int, ...]]:
     """All permutations commuting with every operation, as image tuples.
     Always contains the identity."""
-    n = algebra.n
-    if n > AUTOMORPHISM_MAX_N:
-        raise BudgetError(f"n={n} exceeds the automorphism budget {AUTOMORPHISM_MAX_N}")
-    if n == 1:
-        return [(0,)]
-    return sorted(_automorphism_search(_tabs(algebra), n, find_all=True))
+    _check_automorphism_n(algebra.n)
+    return sorted(_automorphism_search(_tabs(algebra), algebra.n))
 
 
 def has_nontrivial_automorphism(algebra: FiniteAlgebra) -> PropertyResult:
-    n = algebra.n
-    if n > AUTOMORPHISM_MAX_N:
-        raise BudgetError(f"n={n} exceeds the automorphism budget {AUTOMORPHISM_MAX_N}")
-    if n == 1:
-        return PropertyResult("nontrivial-automorphism", False)
-    tabs = _tabs(algebra)
-    ident = tuple(range(n))
-    for perm in _automorphism_search(tabs, n, find_all=False):
-        if perm != ident:
-            return PropertyResult("nontrivial-automorphism", True, perm)
-    return PropertyResult("nontrivial-automorphism", False)
+    _check_automorphism_n(algebra.n)
+    perm = _nontrivial_automorphism(_tabs(algebra), algebra.n)
+    return PropertyResult("nontrivial-automorphism", perm is not None, perm)
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +279,10 @@ def is_idemprimal(algebra: FiniteAlgebra) -> PropertyResult:
     sub = _pair_generated_proper(tabs, n)
     if sub is not None:
         return PropertyResult("idemprimal", False, ("proper-subalgebra", sub))
-    aut = has_nontrivial_automorphism(algebra)
-    if aut.holds:
-        return PropertyResult("idemprimal", False, ("automorphism", aut.witness))
+    _check_automorphism_n(n)
+    perm = _nontrivial_automorphism(tabs, n)
+    if perm is not None:
+        return PropertyResult("idemprimal", False, ("automorphism", perm))
     a = _any_cross_np(tabs, n)
     if a is not None:
         return PropertyResult("idemprimal", False, ("cross", a))
@@ -286,18 +294,10 @@ def is_idemprimal(algebra: FiniteAlgebra) -> PropertyResult:
 
 
 def _minority_values(a: int, b: int):
-    """The 8 cells of the minority operation on {a,b}."""
-    out = {}
-    for args in product((a, b), repeat=3):
-        distinct = args.count(a)
-        # minority: returns the value occurring once; on the diagonal, itself
-        if distinct == 3 or distinct == 0:
-            out[args] = args[0]
-        elif distinct == 1:
-            out[args] = a
-        else:
-            out[args] = b
-    return out
+    """The 8 cells of the minority operation on {a,b}: a exactly when it
+    occurs an odd number of times (once, or on the diagonal)."""
+    return {args: a if args.count(a) % 2 else b
+            for args in product((a, b), repeat=3)}
 
 
 def has_minority_two_subalgebra(algebra: FiniteAlgebra, symbol) -> PropertyResult:

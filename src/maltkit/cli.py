@@ -227,6 +227,10 @@ def cmd_sample(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    if args.max_vars is None:
+        args.max_vars = DEFAULT_MAX_VARS
+    elif args.backend == "brute":
+        raise ParseError("--max-vars applies only to the family backend")
     spec = _load_system(args.system)
     closure = (checked_closure(spec, max_vars=args.max_vars)
                if args.backend == "family" else None)
@@ -333,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--backend", choices=("family", "brute"), default="family")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_enumerate)
+    p.set_defaults(func=cmd_enumerate, max_vars=None)  # None: not given
 
     p = sub.add_parser("check", help="check properties of a concrete algebra")
     p.add_argument("algebra", help="path to an algebra JSON file")

@@ -1,11 +1,15 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from maltkit import checkers
 from maltkit.analysis import canonical_transversal
-from maltkit.checkers import (_any_cross_np, _minority_values, _tabs,
+from maltkit.checkers import (_any_cross_np, _generator_chain, _is_automorphism,
+                              _minority_values, _nontrivial_automorphism,
+                              _pair_generated_proper, _propagate, _tabs,
                               automorphisms, cross_compatible, cross_relation,
                               generated_subuniverse,
                               has_minority_two_subalgebra,
@@ -13,7 +17,8 @@ from maltkit.checkers import (_any_cross_np, _minority_values, _tabs,
                               has_proper_subalgebra_size_gt1, is_compatible_relation,
                               is_idemprimal, is_subuniverse, subalgebras_of_size)
 from maltkit.closure import compute_closure
-from maltkit.errors import DomainError
+from maltkit.census import PROPERTIES
+from maltkit.errors import BudgetError, DomainError
 from maltkit.factory import (FiniteAlgebra, build_dispatch, mix, realize,
                              sample_mfamily)
 from maltkit.library import builtin_system
@@ -31,6 +36,58 @@ def random_algebra(n, arities, rng):
             cells[idx] = a
         tables.append(tuple(int(x) for x in cells))
     return FiniteAlgebra(n, sig, tuple(tables))
+
+
+def invariant_algebra(pi, arities, rng):
+    """A random idempotent algebra with the permutation pi among its
+    automorphisms: each pi-orbit of cells (pi acting coordinatewise) of
+    length L takes a value whose pi-cycle length divides L, moved along
+    with the cells."""
+    n = len(pi)
+    cycle = [1] * n
+    for a in range(n):
+        x = pi[a]
+        while x != a:
+            x, cycle[a] = pi[x], cycle[a] + 1
+    sig = Signature(tuple((f"f{i}", d) for i, d in enumerate(arities)))
+    tables = []
+    for d in arities:
+        cells = {}
+        for u in itertools.product(range(n), repeat=d):
+            if u in cells:
+                continue
+            L = math.lcm(*(cycle[a] for a in u))
+            if len(set(u)) == 1:
+                v = u[0]
+            else:
+                v = int(rng.choice([a for a in range(n) if L % cycle[a] == 0]))
+            for _ in range(L):
+                cells[u] = v
+                u, v = tuple(int(pi[a]) for a in u), int(pi[v])
+        tables.append(tuple(cells[u] for u in itertools.product(range(n), repeat=d)))
+    return FiniteAlgebra(n, sig, tuple(tables))
+
+
+def affine_algebra(n):
+    """x - y + z mod n, whose automorphisms are the maps x -> ax + b with a
+    a unit mod n."""
+    table = tuple((x - y + z) % n for x, y, z in itertools.product(range(n), repeat=3))
+    return FiniteAlgebra(n, Signature((("f", 3),)), (table,))
+
+
+@st.composite
+def small_algebras(draw):
+    """Random idempotent algebras at n <= 6: plain random tables, tables
+    invariant under a random permutation, and the affine algebra."""
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(("random", "invariant", "affine")))
+    if kind == "affine":
+        return affine_algebra(n)
+    arities = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "random":
+        return random_algebra(n, arities, rng)
+    return invariant_algebra(rng.permutation(n), arities, rng)
 
 
 def sampled(name, n, seed, *args):
@@ -82,6 +139,155 @@ def test_subalgebras_of_size_witnesses():
     pairs = subalgebras_of_size(alg, 2)
     # majority: every 2-subset is closed (d_M = 3)
     assert len(pairs) == 15
+
+
+# ---------------------------------------------------------------------------
+# oracles: the checkers before pair closures stopped at known generating
+# pairs and before automorphism candidates were filtered by invariants
+
+
+def oracle_closure(tabs, n, seed):
+    S = np.unique(np.asarray(sorted(seed), dtype=np.int64))
+    while True:
+        pieces = [S]
+        for tab, d in tabs:
+            grid = tab.reshape((n,) * d)
+            pieces.append(grid[np.ix_(*([S] * d))].ravel())
+        new = np.unique(np.concatenate(pieces))
+        if len(new) == len(S):
+            return new
+        S = new
+
+
+def oracle_pair_generated_proper(tabs, n):
+    for a in range(n):
+        for b in range(a + 1, n):
+            S = oracle_closure(tabs, n, (a, b))
+            if len(S) < n:
+                return [int(x) for x in S]
+    return None
+
+
+def oracle_generator_chain(tabs, n):
+    gens = []
+    S = np.empty(0, dtype=np.int64)
+    while len(S) < n:
+        for g in range(n):
+            if g not in S:
+                break
+        gens.append(g)
+        S = oracle_closure(tabs, n, list(S) + [g])
+    return gens
+
+
+def oracle_automorphism_search(tabs, n, find_all):
+    gens = oracle_generator_chain(tabs, n)
+    total = 1
+    for j in range(len(gens)):
+        total *= n - j
+    if total > 500_000:
+        raise BudgetError(
+            f"{total} candidate generator images exceed the search budget")
+    found = []
+    identity = tuple(gens)
+    for imgs in itertools.permutations(range(n), len(gens)):
+        phi = _propagate(tabs, n, gens, imgs)
+        if phi is None or not _is_automorphism(tabs, n, phi):
+            continue
+        perm = tuple(int(x) for x in phi)
+        found.append(perm)
+        if not find_all and imgs != identity:
+            # a nontrivial automorphism exists
+            return found
+    return found
+
+
+def oracle_nontrivial_automorphism(tabs, n):
+    ident = tuple(range(n))
+    for perm in oracle_automorphism_search(tabs, n, find_all=False):
+        if perm != ident:
+            return perm
+    return None
+
+
+def reference_invariants(alg):
+    """Per element, the counts _invariants computes, by a loop over cells."""
+    n, rows = alg.n, []
+    for x in range(n):
+        row = []
+        for sym, table in enumerate(alg.tables):
+            cells = list(zip(itertools.product(range(n),
+                                               repeat=alg.signature.arity(sym)),
+                             table))
+            row.append(sum(v == x for _, v in cells))
+            for j in range(alg.signature.arity(sym)):
+                row.append(sum(u[j] == x == v for u, v in cells))
+        rows.append(tuple(row))
+    return rows
+
+
+@given(small_algebras())
+@settings(max_examples=300, deadline=None)
+def test_checkers_match_oracles(alg):
+    tabs, n = _tabs(alg), alg.n
+    assert _pair_generated_proper(tabs, n) == oracle_pair_generated_proper(tabs, n)
+    assert _generator_chain(tabs, n) == oracle_generator_chain(tabs, n)
+    assert _nontrivial_automorphism(tabs, n) == oracle_nontrivial_automorphism(tabs, n)
+    assert automorphisms(alg) == sorted(oracle_automorphism_search(tabs, n, True))
+
+
+@given(small_algebras())
+@settings(max_examples=100, deadline=None)
+def test_automorphism_candidates_are_the_invariant_classes(alg):
+    """Every injective choice of images with the generators' invariants is
+    tried, and no other."""
+    tabs, n = _tabs(alg), alg.n
+    inv = reference_invariants(alg)
+    classes = [[y for y in range(n) if inv[y] == inv[g]]
+               for g in _generator_chain(tabs, n)]
+    want = sum(len(set(imgs)) == len(imgs) for imgs in itertools.product(*classes))
+    tried = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(checkers, "_propagate",
+                  lambda *args: tried.append(args[3]) or _propagate(*args))
+        automorphisms(alg)
+    assert len(tried) == want
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_affine_automorphism_group(n):
+    want = {tuple((a * x + b) % n for x in range(n))
+            for a in range(n) if math.gcd(a, n) == 1 for b in range(n)}
+    got = automorphisms(affine_algebra(n))
+    assert len(want) == n * sum(math.gcd(a, n) == 1 for a in range(n))
+    assert set(got) == want and len(got) == len(want)
+    assert has_nontrivial_automorphism(affine_algebra(n)).holds == (n > 1)
+
+
+def test_invariant_algebra_has_its_permutation():
+    rng = np.random.default_rng(12)
+    for trial in range(10):
+        pi = rng.permutation(6)
+        alg = invariant_algebra(pi, (2, 3), rng)
+        assert tuple(int(x) for x in pi) in automorphisms(alg)
+
+
+def test_automorphism_budget_checked_before_search(monkeypatch):
+    """A first projection makes every subset a subuniverse, so the chain
+    is all 10 elements and 10! images exceed the 500k budget."""
+    table = tuple(x for x, y in itertools.product(range(10), repeat=2))
+    alg = FiniteAlgebra(10, Signature((("f", 2),)), (table,))
+
+    def no_candidates(*args):
+        raise AssertionError("a candidate was tried before the budget check")
+
+    monkeypatch.setattr(checkers, "_propagate", no_candidates)
+    with pytest.raises(BudgetError, match="3628800 candidate"):
+        automorphisms(alg)
+    with pytest.raises(BudgetError):
+        has_nontrivial_automorphism(alg)
+    with pytest.raises(BudgetError):
+        PROPERTIES["automorphism"].table(_tabs(alg), alg.n, None)
 
 
 # ---------------------------------------------------------------------------

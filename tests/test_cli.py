@@ -473,6 +473,16 @@ def test_enumerate_uses_the_checked_closure(maltsev_file, monkeypatch, capsys):
     assert capsys.readouterr().err == "4 models\n"
 
 
+def test_enumerate_brute_rejects_max_vars(maltsev_file, capsys):
+    # the brute backend computes no closure, so a variable budget would do nothing
+    argv = ["enumerate", maltsev_file, "-n", "1", "--backend", "brute"]
+    assert main(argv + ["--max-vars", "7"]) == 2
+    assert capsys.readouterr().err == (
+        "error: --max-vars applies only to the family backend\n")
+    assert main(argv) == 0
+    assert main(argv[:-2] + ["--max-vars", "0"]) == 3
+
+
 @pytest.mark.parametrize("command", [
     "census nonidem.mlt -n 3 --samples 5 --seed 1 --property subalg2",
     "sample nonidem.mlt -n 3 --seed 1",
