@@ -322,33 +322,17 @@ class Property:
         return (False, None) if n < self.min_n else self.table(tabs, n, arg)
 
 
-def _subuniverse(tabs, n: int, B):
-    """(whether B is a subuniverse, else the first argument tuple over B,
-    by symbol and then lexicographically, whose value leaves B)."""
-    Bs = np.asarray(B)
-    for tab, d in tabs:
-        bad = np.argwhere(~np.isin(tab.reshape((n,) * d)[np.ix_(*[Bs] * d)], Bs))
-        if len(bad):
-            return False, [int(B[i]) for i in bad[0]]
-    return True, None
-
-
 def _found(search):
-    """A table evaluator from a checker internal returning a witness or None."""
-    def table(tabs, n, _):
-        witness = search(tabs, n)
+    """A table evaluator from a checker internal (tabs, n[, arg]) returning
+    a witness or None: the property holds when there is a witness."""
+    def table(tabs, n, arg):
+        witness = search(tabs, n, *(() if arg is None else (arg,)))
         return witness is not None, witness
     return table
 
 
 def _subsets(k: int, arrays: str) -> Property:
     """subalg<k>: some k-element subset is a proper subalgebra."""
-    def table(tabs, n, _):
-        for B in combinations(range(n), k):
-            if _subuniverse(tabs, n, B)[0]:
-                return True, list(B)
-        return False, None
-
     def family(ev, _):
         P, S = getattr(ev.ctx, arrays)()
         return bool(_in_rows(ev.flat[P], S).all(axis=1).any())
@@ -365,8 +349,9 @@ def _subsets(k: int, arrays: str) -> Property:
             return "open", None
         return "asymptotic", cell.as_float()
 
-    return Property(f"subalg{k}", k + 1, table, theory, family=family,
-                    prewarm=(arrays,))
+    return Property(f"subalg{k}", k + 1,
+                    _found(lambda tabs, n: next(checkers._subalgebras(tabs, n, k), None)),
+                    theory, family=family, prewarm=(arrays,))
 
 
 def _subalg_gt1_family(ev, _):
@@ -391,27 +376,9 @@ def _rigid_theory(engine, _, n):
     return ("asymptotic", 0.0) if engine.params.d_M == 2 else ("none", None)
 
 
-# Szendrei's obstructions to idemprimality, with their witness labels
-_OBSTRUCTIONS = (("subalgGT1", "proper-subalgebra"),
-                 ("automorphism", "automorphism"), ("cross", "cross"))
-
-
 def _idemprimal_table(tabs, n, _):
-    for name, label in _OBSTRUCTIONS:
-        holds, witness = PROPERTIES[name].table(tabs, n, None)
-        if holds:
-            return False, [label, witness]
-    return True, None
-
-
-def _minority2_table(tabs, n, symbol):
-    grid = tabs[symbol][0].reshape((n,) * 3)
-    for a, b in combinations(range(n), 2):
-        if all(grid[args] == v for args, v in
-               checkers._minority_values(a, b).items()) \
-                and _subuniverse(tabs, n, (a, b))[0]:
-            return True, [a, b]
-    return False, None
+    obstruction = checkers._idemprimal_obstruction(tabs, n)
+    return obstruction is None, obstruction
 
 
 def _minority2_family(ev, symbol):
@@ -423,6 +390,11 @@ def _minority2_family(ev, symbol):
 def _minority2_theory(engine, symbol, n):
     single = minority_pair_probability(engine, symbol, n)
     return "exact_finite_n", 1.0 - (1.0 - single) ** math.comb(n, 2)
+
+
+def _fixed_b_table(tabs, n, B):
+    bad = checkers._subuniverse(tabs, n, B)
+    return bad is None, None if bad is None else list(bad[1])
 
 
 def _fixed_b_family(ev, B):
@@ -450,13 +422,14 @@ PROPERTIES = {p.name: p for p in (
     Property("idemprimal", 3, _idemprimal_table,
              lambda engine, _, n: ("asymptotic", idemprimality_verdict(
                  engine.params).limit_probability),
-             family=lambda ev, _: not any(ev.evaluate(name)
-                                          for name, _ in _OBSTRUCTIONS),
+             # Szendrei's obstructions, each memoized as its own property
+             family=lambda ev, _: not any(ev.evaluate(name) for name in
+                                          ("subalgGT1", "automorphism", "cross")),
              prewarm=("realizer", "pair_arrays"), strict=True),
-    Property("minority2", 2, _minority2_table, _minority2_theory,
+    Property("minority2", 2, _found(checkers._minority_pair), _minority2_theory,
              family=_minority2_family, prewarm=("minority_arrays",),
              parse=lambda prop, sig, n: _designated_ternary(sig, prop)),
-    Property("fixedB", 1, _subuniverse, _fixed_b_theory,
+    Property("fixedB", 1, _fixed_b_table, _fixed_b_theory,
              family=_fixed_b_family, prewarm=("fixed_b_arrays",),
              parse=lambda prop, sig, n: parse_fixed_b(prop, n)),
 )}

@@ -2,9 +2,10 @@
 generated closures, automorphisms, compatible crosses, idemprimality,
 minority pairs, and generic compatible-relation checks.
 
-Public functions take a FiniteAlgebra.  The internals work on numpy
-operation tables so the census can call them per sample without boxing;
-the _tabs(...) helpers convert between the two views.
+Each decision is coded once, as an internal on numpy operation tables
+(tabs, n[, arg]) that returns a witness or None, so the census can call
+it per sample without boxing.  The public functions take a FiniteAlgebra
+and wrap the same internal; _tabs(...) converts between the two views.
 """
 
 from __future__ import annotations
@@ -42,17 +43,28 @@ def _tabs(algebra: FiniteAlgebra):
 # Subuniverses
 
 
+def _subuniverse(tabs, n: int, B):
+    """None if the sorted distinct elements B form a subuniverse, else
+    (symbol, args) for the first cell over B, by symbol and then
+    lexicographically, whose value leaves B."""
+    Bs = np.asarray(B, dtype=np.int64)
+    for sym, (tab, d) in enumerate(tabs):
+        bad = np.argwhere(~np.isin(tab.reshape((n,) * d)[np.ix_(*[Bs] * d)], Bs))
+        if len(bad):
+            return sym, tuple(int(Bs[i]) for i in bad[0])
+    return None
+
+
 def is_subuniverse(algebra: FiniteAlgebra, B) -> PropertyResult:
     B = sorted(set(B))
     if not B:
         raise DomainError("B must be non-empty")
-    bset = set(B)
-    for sym in range(len(algebra.signature)):
-        d = algebra.signature.arity(sym)
-        for args in product(B, repeat=d):
-            if algebra.value(sym, args) not in bset:
-                return PropertyResult("subuniverse", False, (sym, args))
-    return PropertyResult("subuniverse", True, tuple(B))
+    if B[0] < 0 or B[-1] >= algebra.n:
+        raise DomainError(f"elements of B must be in 0..{algebra.n - 1}")
+    bad = _subuniverse(_tabs(algebra), algebra.n, B)
+    if bad is None:
+        return PropertyResult("subuniverse", True, tuple(B))
+    return PropertyResult("subuniverse", False, bad)
 
 
 def _closure_np(tabs, n: int, seed, generating=None) -> np.ndarray:
@@ -108,11 +120,12 @@ def subalgebras_of_size(algebra: FiniteAlgebra, k: int) -> list[tuple[int, ...]]
     total = math.comb(n, k)
     if total > SUBSET_BUDGET:
         raise BudgetError(f"C({n},{k}) = {total} subsets exceed the budget")
-    out = []
-    for B in combinations(range(n), k):
-        if is_subuniverse(algebra, B).holds:
-            out.append(B)
-    return out
+    return list(_subalgebras(_tabs(algebra), n, k))
+
+
+def _subalgebras(tabs, n: int, k: int):
+    """The k-element subuniverses, in lexicographic order."""
+    return (B for B in combinations(range(n), k) if _subuniverse(tabs, n, B) is None)
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +200,8 @@ def _automorphism_search(tabs, n: int):
     """Yield every automorphism as an image tuple, in lexicographic order of
     the chain's images.  The budget counts all injective images of the
     chain; only those with each generator's invariants are tried."""
+    if n > AUTOMORPHISM_MAX_N:
+        raise BudgetError(f"n={n} exceeds the automorphism budget {AUTOMORPHISM_MAX_N}")
     gens = _generator_chain(tabs, n)
     total = math.perm(n, len(gens))
     if total > 500_000:
@@ -209,20 +224,13 @@ def _nontrivial_automorphism(tabs, n: int):
     return next((p for p in _automorphism_search(tabs, n) if p != identity), None)
 
 
-def _check_automorphism_n(n: int) -> None:
-    if n > AUTOMORPHISM_MAX_N:
-        raise BudgetError(f"n={n} exceeds the automorphism budget {AUTOMORPHISM_MAX_N}")
-
-
 def automorphisms(algebra: FiniteAlgebra) -> list[tuple[int, ...]]:
     """All permutations commuting with every operation, as image tuples.
     Always contains the identity."""
-    _check_automorphism_n(algebra.n)
     return sorted(_automorphism_search(_tabs(algebra), algebra.n))
 
 
 def has_nontrivial_automorphism(algebra: FiniteAlgebra) -> PropertyResult:
-    _check_automorphism_n(algebra.n)
     perm = _nontrivial_automorphism(_tabs(algebra), algebra.n)
     return PropertyResult("nontrivial-automorphism", perm is not None, perm)
 
@@ -268,25 +276,26 @@ def _any_cross_np(tabs, n: int):
 # Idemprimality
 
 
-def is_idemprimal(algebra: FiniteAlgebra) -> PropertyResult:
+def _idemprimal_obstruction(tabs, n: int):
     """Szendrei's criterion for finite idempotent algebras of size > 2:
-    no proper subalgebra of size > 1, trivial automorphism group, and no
-    compatible cross."""
+    idemprimal iff no proper subalgebra of size > 1, trivial automorphism
+    group, and no compatible cross.  The first obstruction found, as
+    (label, witness), or None."""
+    for label, search in (("proper-subalgebra", _pair_generated_proper),
+                          ("automorphism", _nontrivial_automorphism),
+                          ("cross", _any_cross_np)):
+        witness = search(tabs, n)
+        if witness is not None:
+            return label, witness
+    return None
+
+
+def is_idemprimal(algebra: FiniteAlgebra) -> PropertyResult:
     n = algebra.n
     if n <= 2:
         raise DomainError("idemprimality criterion unsupported for n <= 2")
-    tabs = _tabs(algebra)
-    sub = _pair_generated_proper(tabs, n)
-    if sub is not None:
-        return PropertyResult("idemprimal", False, ("proper-subalgebra", sub))
-    _check_automorphism_n(n)
-    perm = _nontrivial_automorphism(tabs, n)
-    if perm is not None:
-        return PropertyResult("idemprimal", False, ("automorphism", perm))
-    a = _any_cross_np(tabs, n)
-    if a is not None:
-        return PropertyResult("idemprimal", False, ("cross", a))
-    return PropertyResult("idemprimal", True)
+    obstruction = _idemprimal_obstruction(_tabs(algebra), n)
+    return PropertyResult("idemprimal", obstruction is None, obstruction)
 
 
 # ---------------------------------------------------------------------------
@@ -305,13 +314,19 @@ def has_minority_two_subalgebra(algebra: FiniteAlgebra, symbol) -> PropertyResul
         symbol = algebra.signature.index(symbol)
     if algebra.signature.arity(symbol) != 3:
         raise DomainError("minority check needs a ternary symbol")
-    for a in range(algebra.n):
-        for b in range(a + 1, algebra.n):
-            want = _minority_values(a, b)
-            if all(algebra.value(symbol, args) == v for args, v in want.items()) \
-                    and is_subuniverse(algebra, (a, b)).holds:
-                return PropertyResult("minority-2-subalgebra", True, (a, b))
-    return PropertyResult("minority-2-subalgebra", False)
+    pair = _minority_pair(_tabs(algebra), algebra.n, symbol)
+    return PropertyResult("minority-2-subalgebra", pair is not None, pair)
+
+
+def _minority_pair(tabs, n: int, symbol: int):
+    """The first pair (a, b), lexicographically, that is a subuniverse on
+    which the ternary symbol is the minority operation, or None."""
+    grid = tabs[symbol][0].reshape((n,) * 3)
+    for a, b in combinations(range(n), 2):
+        if all(grid[args] == v for args, v in _minority_values(a, b).items()) \
+                and _subuniverse(tabs, n, (a, b)) is None:
+            return a, b
+    return None
 
 
 def is_compatible_relation(algebra: FiniteAlgebra, relation) -> PropertyResult:

@@ -1,0 +1,225 @@
+"""Independent reference decisions and random small algebras that the
+checker and census tests compare against.
+
+Each oracle is an earlier, slower version of a decision that now lives
+once in maltkit.checkers: the pair closure without the early stop at
+known generating pairs, the automorphism search over every injective
+image of the generator chain, the product loop over B^d for subuniverses,
+the minority-pair search over single cells, and Szendrei's criterion
+built from these oracles, with crosses checked as generic relations.
+"""
+
+import itertools
+import math
+
+import numpy as np
+from hypothesis import strategies as st
+
+from maltkit.checkers import (PropertyResult, _is_automorphism, _propagate,
+                              _tabs, cross_relation, is_compatible_relation)
+from maltkit.errors import BudgetError
+from maltkit.factory import FiniteAlgebra
+from maltkit.terms import Signature
+
+# ---------------------------------------------------------------------------
+# random idempotent algebras
+
+
+def random_algebra(n, arities, rng):
+    sig = Signature(tuple((f"f{i}", d) for i, d in enumerate(arities)))
+    tables = []
+    for d in arities:
+        cells = rng.integers(0, n, size=n ** d)
+        # force idempotence so the census invariants apply
+        for a in range(n):
+            idx = sum(a * n ** (d - 1 - j) for j in range(d))
+            cells[idx] = a
+        tables.append(tuple(int(x) for x in cells))
+    return FiniteAlgebra(n, sig, tuple(tables))
+
+
+def invariant_algebra(pi, arities, rng):
+    """A random idempotent algebra with the permutation pi among its
+    automorphisms: each pi-orbit of cells (pi acting coordinatewise) of
+    length L takes a value whose pi-cycle length divides L, moved along
+    with the cells."""
+    n = len(pi)
+    cycle = [1] * n
+    for a in range(n):
+        x = pi[a]
+        while x != a:
+            x, cycle[a] = pi[x], cycle[a] + 1
+    sig = Signature(tuple((f"f{i}", d) for i, d in enumerate(arities)))
+    tables = []
+    for d in arities:
+        cells = {}
+        for u in itertools.product(range(n), repeat=d):
+            if u in cells:
+                continue
+            L = math.lcm(*(cycle[a] for a in u))
+            if len(set(u)) == 1:
+                v = u[0]
+            else:
+                v = int(rng.choice([a for a in range(n) if L % cycle[a] == 0]))
+            for _ in range(L):
+                cells[u] = v
+                u, v = tuple(int(pi[a]) for a in u), int(pi[v])
+        tables.append(tuple(cells[u] for u in itertools.product(range(n), repeat=d)))
+    return FiniteAlgebra(n, sig, tuple(tables))
+
+
+def affine_algebra(n):
+    """x - y + z mod n, whose automorphisms are the maps x -> ax + b with a
+    a unit mod n."""
+    table = tuple((x - y + z) % n for x, y, z in itertools.product(range(n), repeat=3))
+    return FiniteAlgebra(n, Signature((("f", 3),)), (table,))
+
+
+def cross_only_algebra():
+    """f on {0,1,2}: 0 absorbs from the left, so the cross at 0 is
+    compatible; f(1,0) = 2, f(2,0) = 1 and f(1,2) = 0 leave every pair, and
+    f(2,1) = 1 rules out the one map fixing 0 that moves anything."""
+    f = {(1, 0): 2, (2, 0): 1, (1, 2): 0, (2, 1): 1}
+    table = tuple(x if x in (0, y) else f[x, y]
+                  for x, y in itertools.product(range(3), repeat=2))
+    return FiniteAlgebra(3, Signature((("f", 2),)), (table,))
+
+
+@st.composite
+def small_algebras(draw):
+    """Random idempotent algebras at n <= 6: plain random tables, tables
+    invariant under a random permutation, and the affine algebra."""
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(("random", "invariant", "affine")))
+    if kind == "affine":
+        return affine_algebra(n)
+    arities = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "random":
+        return random_algebra(n, arities, rng)
+    return invariant_algebra(rng.permutation(n), arities, rng)
+
+
+# ---------------------------------------------------------------------------
+# subuniverses and pair closures
+
+
+def oracle_is_subuniverse(algebra, B):
+    B = sorted(set(B))
+    bset = set(B)
+    for sym in range(len(algebra.signature)):
+        d = algebra.signature.arity(sym)
+        for args in itertools.product(B, repeat=d):
+            if algebra.value(sym, args) not in bset:
+                return PropertyResult("subuniverse", False, (sym, args))
+    return PropertyResult("subuniverse", True, tuple(B))
+
+
+def oracle_subalgebra(algebra, k):
+    """The first k-element subuniverse, lexicographically, or None."""
+    return next((B for B in itertools.combinations(range(algebra.n), k)
+                 if oracle_is_subuniverse(algebra, B).holds), None)
+
+
+def oracle_closure(tabs, n, seed):
+    S = np.unique(np.asarray(sorted(seed), dtype=np.int64))
+    while True:
+        pieces = [S]
+        for tab, d in tabs:
+            grid = tab.reshape((n,) * d)
+            pieces.append(grid[np.ix_(*([S] * d))].ravel())
+        new = np.unique(np.concatenate(pieces))
+        if len(new) == len(S):
+            return new
+        S = new
+
+
+def oracle_pair_generated_proper(tabs, n):
+    for a in range(n):
+        for b in range(a + 1, n):
+            S = oracle_closure(tabs, n, (a, b))
+            if len(S) < n:
+                return [int(x) for x in S]
+    return None
+
+
+# ---------------------------------------------------------------------------
+# automorphisms
+
+
+def oracle_generator_chain(tabs, n):
+    gens = []
+    S = np.empty(0, dtype=np.int64)
+    while len(S) < n:
+        for g in range(n):
+            if g not in S:
+                break
+        gens.append(g)
+        S = oracle_closure(tabs, n, list(S) + [g])
+    return gens
+
+
+def oracle_automorphism_search(tabs, n, find_all):
+    gens = oracle_generator_chain(tabs, n)
+    total = 1
+    for j in range(len(gens)):
+        total *= n - j
+    if total > 500_000:
+        raise BudgetError(
+            f"{total} candidate generator images exceed the search budget")
+    found = []
+    identity = tuple(gens)
+    for imgs in itertools.permutations(range(n), len(gens)):
+        phi = _propagate(tabs, n, gens, imgs)
+        if phi is None or not _is_automorphism(tabs, n, phi):
+            continue
+        perm = tuple(int(x) for x in phi)
+        found.append(perm)
+        if not find_all and imgs != identity:
+            # a nontrivial automorphism exists
+            return found
+    return found
+
+
+def oracle_nontrivial_automorphism(tabs, n):
+    ident = tuple(range(n))
+    for perm in oracle_automorphism_search(tabs, n, find_all=False):
+        if perm != ident:
+            return perm
+    return None
+
+
+# ---------------------------------------------------------------------------
+# crosses, idemprimality and minority pairs
+
+
+def oracle_any_cross(algebra):
+    """The first a whose cross passes the generic relation check, or None."""
+    return next((a for a in range(algebra.n) if is_compatible_relation(
+        algebra, cross_relation(algebra.n, a)).holds), None)
+
+
+def oracle_is_idemprimal(algebra):
+    tabs, n = _tabs(algebra), algebra.n
+    sub = oracle_pair_generated_proper(tabs, n)
+    if sub is not None:
+        return PropertyResult("idemprimal", False, ("proper-subalgebra", sub))
+    perm = oracle_nontrivial_automorphism(tabs, n)
+    if perm is not None:
+        return PropertyResult("idemprimal", False, ("automorphism", perm))
+    a = oracle_any_cross(algebra)
+    if a is not None:
+        return PropertyResult("idemprimal", False, ("cross", a))
+    return PropertyResult("idemprimal", True)
+
+
+def oracle_has_minority_two_subalgebra(algebra, symbol):
+    for a in range(algebra.n):
+        for b in range(a + 1, algebra.n):
+            # minority: a exactly when it occurs an odd number of times
+            want = {args: a if args.count(a) % 2 else b
+                    for args in itertools.product((a, b), repeat=3)}
+            if all(algebra.value(symbol, args) == v for args, v in want.items()) \
+                    and oracle_is_subuniverse(algebra, (a, b)).holds:
+                return PropertyResult("minority-2-subalgebra", True, (a, b))
+    return PropertyResult("minority-2-subalgebra", False)

@@ -1,21 +1,29 @@
 import io
+import json
 import math
-from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from maltkit.census import (CSV_HEADER, PROPERTIES, CensusEngine, Experiment,
                             csv_text, minority_pair_probability,
                             parse_fixed_b, parse_properties, run_census,
                             sweep_census, theory_for, wilson_interval,
                             write_csv)
-from maltkit.checkers import (cross_compatible, has_minority_two_subalgebra,
+from maltkit.checkers import (_tabs, cross_compatible,
+                              has_minority_two_subalgebra,
                               has_nontrivial_automorphism,
                               has_proper_subalgebra_size_gt1, is_idemprimal,
-                              is_subuniverse)
+                              is_subuniverse, subalgebras_of_size)
 from maltkit.errors import DomainError
 from maltkit.library import builtin_system
 from maltkit.terms import parse_system
+from oracles import (cross_only_algebra, oracle_any_cross,
+                     oracle_has_minority_two_subalgebra,
+                     oracle_is_idemprimal, oracle_is_subuniverse,
+                     oracle_nontrivial_automorphism,
+                     oracle_pair_generated_proper, oracle_subalgebra,
+                     small_algebras)
 
 
 @pytest.fixture(scope="module")
@@ -132,39 +140,106 @@ def test_census_deterministic_across_runs(maltsev_engine, maltsev_spec):
     assert csv_text([a]) == csv_text([b])
 
 
-# property string -> its decision by the public checkers on an algebra;
-# every registry entry needs one
+def found(witness):
+    """(holds, witness) of a property that holds when there is a witness."""
+    return witness is not None, witness
+
+
+def result(res):
+    return res.holds, res.witness
+
+
+def fixed_b(res):
+    """A subuniverse result as the fixedB entry reports it: no witness
+    when B is closed, else the arguments of the first cell leaving B."""
+    return res.holds, None if res.holds else res.witness[1]
+
+
+# registry name -> (algebra, parsed argument) -> (holds, witness) by the
+# oracles, independent of maltkit.checkers' decision procedures; every
+# registry entry needs one.  Below an entry's min_n see oracle_decide.
 ORACLES = {
-    "subalg2": lambda alg: alg.n >= 3 and any(
-        is_subuniverse(alg, B).holds for B in combinations(range(alg.n), 2)),
-    "subalg3": lambda alg: alg.n >= 4 and any(
-        is_subuniverse(alg, B).holds for B in combinations(range(alg.n), 3)),
-    "subalgGT1": lambda alg: alg.n >= 3 and has_proper_subalgebra_size_gt1(alg).holds,
-    "automorphism": lambda alg: has_nontrivial_automorphism(alg).holds,
-    "cross": lambda alg: any(cross_compatible(alg, a).holds for a in range(alg.n)),
-    "idemprimal": lambda alg: is_idemprimal(alg).holds,
-    "minority2": lambda alg: has_minority_two_subalgebra(
-        alg, next(i for i, (_, d) in enumerate(alg.signature.symbols) if d == 3)).holds,
-    "fixedB=0+1": lambda alg: is_subuniverse(alg, (0, 1)).holds,
+    "subalg2": lambda alg, _: found(oracle_subalgebra(alg, 2)),
+    "subalg3": lambda alg, _: found(oracle_subalgebra(alg, 3)),
+    "subalgGT1": lambda alg, _: found(oracle_pair_generated_proper(_tabs(alg), alg.n)),
+    "automorphism": lambda alg, _: found(oracle_nontrivial_automorphism(_tabs(alg),
+                                                                        alg.n)),
+    "cross": lambda alg, _: found(oracle_any_cross(alg)),
+    "idemprimal": lambda alg, _: result(oracle_is_idemprimal(alg)),
+    "minority2": lambda alg, sym: result(oracle_has_minority_two_subalgebra(alg, sym)),
+    "fixedB": lambda alg, B: fixed_b(oracle_is_subuniverse(alg, B)),
+}
+
+# the same by the public checkers, defined at n >= min_n
+PUBLIC = {
+    "subalg2": lambda alg, _: found(next(iter(subalgebras_of_size(alg, 2)), None)),
+    "subalg3": lambda alg, _: found(next(iter(subalgebras_of_size(alg, 3)), None)),
+    "subalgGT1": lambda alg, _: result(has_proper_subalgebra_size_gt1(alg)),
+    "automorphism": lambda alg, _: result(has_nontrivial_automorphism(alg)),
+    "cross": lambda alg, _: found(next((a for a in range(alg.n)
+                                        if cross_compatible(alg, a).holds), None)),
+    "idemprimal": lambda alg, _: result(is_idemprimal(alg)),
+    "minority2": lambda alg, sym: result(has_minority_two_subalgebra(alg, sym)),
+    "fixedB": lambda alg, B: fixed_b(is_subuniverse(alg, B)),
 }
 
 
+def oracle_decide(alg, name, arg):
+    """Every subalgebra counted is proper, so below min_n nothing holds."""
+    if alg.n < PROPERTIES[name].min_n:
+        return False, None
+    return ORACLES[name](alg, arg)
+
+
+def as_json(value):
+    return json.loads(json.dumps(value))
+
+
 def test_oracles_cover_the_registry():
-    assert {p.partition("=")[0] for p in ORACLES} == set(PROPERTIES)
+    assert set(ORACLES) == set(PROPERTIES) == set(PUBLIC)
+
+
+def assert_witnesses_agree(alg, props):
+    """Each property's registry decision, as check prints it, equals the
+    public checker's and the oracle's."""
+    tabs, n = _tabs(alg), alg.n
+    for prop, (entry, arg) in parse_properties(props, alg.signature, n).items():
+        got = as_json(entry.decide(tabs, n, arg))
+        assert got == as_json(oracle_decide(alg, entry.name, arg)), prop
+        if n >= entry.min_n:
+            assert got == as_json(PUBLIC[entry.name](alg, arg)), prop
+
+
+@given(small_algebras(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_registry_witnesses_match_public_checkers_and_oracles(alg, data):
+    n = alg.n
+    B = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+    props = ["subalg2", "subalg3", "subalgGT1", "automorphism", "cross",
+             "fixedB=" + "+".join(map(str, sorted(B)))]
+    if n >= 3:
+        props.append("idemprimal")
+    if any(d == 3 for _, d in alg.signature.symbols):
+        props.append("minority2")
+    assert_witnesses_agree(alg, props)
+
+
+def test_cross_only_obstruction_witnesses_agree():
+    assert_witnesses_agree(cross_only_algebra(), ("cross", "idemprimal"))
 
 
 def test_census_vectorized_matches_checkers():
     """Every registry entry, in the census (family-level fast path where
     there is one) and on concrete tables (what check runs), agrees with
-    the public checkers on every sample.  Majority models at n=3 supply
-    the automorphisms and crosses the other two families rarely have."""
+    the oracles on every sample.  Majority models at n=3 supply the
+    automorphisms and crosses the other two families rarely have."""
     from maltkit.analysis import canonical_transversal
-    from maltkit.checkers import _tabs
     from maltkit.closure import compute_closure
     from maltkit.factory import build_dispatch, mix, realize, sample_mfamily
 
     seed = 1234
-    props = tuple(ORACLES)
+    props = ("subalg2", "subalg3", "subalgGT1", "automorphism", "cross",
+             "idemprimal", "minority2", "fixedB=0+1")
     for spec, n, samples in ((builtin_system("maltsev"), 5, 200),
                              (builtin_system("hagemann-mitschke", 3), 5, 120),
                              (builtin_system("majority"), 3, 120)):
@@ -178,9 +253,8 @@ def test_census_vectorized_matches_checkers():
         expect = dict.fromkeys(props, 0)
         for i in range(samples):
             alg = realize(dispatch, sample_mfamily(trans, n, mix(seed, i)))
-            for prop, oracle in ORACLES.items():
-                want = bool(oracle(alg))
-                entry, arg = parsed[prop]
+            for prop, (entry, arg) in parsed.items():
+                want = oracle_decide(alg, entry.name, arg)[0]
                 assert entry.decide(_tabs(alg), n, arg)[0] == want, (spec.name, prop, i)
                 expect[prop] += want
         assert counts == expect, spec.name

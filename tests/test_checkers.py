@@ -3,12 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from maltkit import checkers
 from maltkit.analysis import canonical_transversal
-from maltkit.checkers import (_any_cross_np, _generator_chain, _is_automorphism,
-                              _minority_values, _nontrivial_automorphism,
+from maltkit.checkers import (_any_cross_np, _generator_chain, _minority_values,
+                              _nontrivial_automorphism,
                               _pair_generated_proper, _propagate, _tabs,
                               automorphisms, cross_compatible, cross_relation,
                               generated_subuniverse,
@@ -23,71 +23,12 @@ from maltkit.factory import (FiniteAlgebra, build_dispatch, mix, realize,
                              sample_mfamily)
 from maltkit.library import builtin_system
 from maltkit.terms import Signature
-
-
-def random_algebra(n, arities, rng):
-    sig = Signature(tuple((f"f{i}", d) for i, d in enumerate(arities)))
-    tables = []
-    for d in arities:
-        cells = rng.integers(0, n, size=n ** d)
-        # force idempotence so the census invariants apply
-        for a in range(n):
-            idx = sum(a * n ** (d - 1 - j) for j in range(d))
-            cells[idx] = a
-        tables.append(tuple(int(x) for x in cells))
-    return FiniteAlgebra(n, sig, tuple(tables))
-
-
-def invariant_algebra(pi, arities, rng):
-    """A random idempotent algebra with the permutation pi among its
-    automorphisms: each pi-orbit of cells (pi acting coordinatewise) of
-    length L takes a value whose pi-cycle length divides L, moved along
-    with the cells."""
-    n = len(pi)
-    cycle = [1] * n
-    for a in range(n):
-        x = pi[a]
-        while x != a:
-            x, cycle[a] = pi[x], cycle[a] + 1
-    sig = Signature(tuple((f"f{i}", d) for i, d in enumerate(arities)))
-    tables = []
-    for d in arities:
-        cells = {}
-        for u in itertools.product(range(n), repeat=d):
-            if u in cells:
-                continue
-            L = math.lcm(*(cycle[a] for a in u))
-            if len(set(u)) == 1:
-                v = u[0]
-            else:
-                v = int(rng.choice([a for a in range(n) if L % cycle[a] == 0]))
-            for _ in range(L):
-                cells[u] = v
-                u, v = tuple(int(pi[a]) for a in u), int(pi[v])
-        tables.append(tuple(cells[u] for u in itertools.product(range(n), repeat=d)))
-    return FiniteAlgebra(n, sig, tuple(tables))
-
-
-def affine_algebra(n):
-    """x - y + z mod n, whose automorphisms are the maps x -> ax + b with a
-    a unit mod n."""
-    table = tuple((x - y + z) % n for x, y, z in itertools.product(range(n), repeat=3))
-    return FiniteAlgebra(n, Signature((("f", 3),)), (table,))
-
-
-@st.composite
-def small_algebras(draw):
-    """Random idempotent algebras at n <= 6: plain random tables, tables
-    invariant under a random permutation, and the affine algebra."""
-    n = draw(st.integers(1, 6))
-    kind = draw(st.sampled_from(("random", "invariant", "affine")))
-    if kind == "affine":
-        return affine_algebra(n)
-    arities = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    if kind == "random":
-        return random_algebra(n, arities, rng)
-    return invariant_algebra(rng.permutation(n), arities, rng)
+from oracles import (affine_algebra, cross_only_algebra, invariant_algebra,
+                     oracle_automorphism_search, oracle_generator_chain,
+                     oracle_is_idemprimal,
+                     oracle_nontrivial_automorphism,
+                     oracle_pair_generated_proper, random_algebra,
+                     small_algebras)
 
 
 def sampled(name, n, seed, *args):
@@ -108,6 +49,39 @@ def test_is_subuniverse_basic():
     assert is_subuniverse(alg, range(4)).holds
     for a in range(4):
         assert is_subuniverse(alg, (a,)).holds  # idempotence
+
+
+def test_is_subuniverse_rejects_elements_outside_the_carrier():
+    alg = random_algebra(4, (2,), np.random.default_rng(0))
+    for B in ((0, 4), (-1, 2)):
+        with pytest.raises(DomainError, match="0..3"):
+            is_subuniverse(alg, B)
+
+
+def test_subset_budget_checked_before_scan(monkeypatch):
+    """C(100, 4) = 3921225 subsets exceed the 2M budget before one is tried."""
+    alg = FiniteAlgebra(100, Signature((("f", 1),)), (tuple(range(100)),))
+
+    def no_subsets(*args):
+        raise AssertionError("a subset was tried before the budget check")
+
+    monkeypatch.setattr(checkers, "_subuniverse", no_subsets)
+    with pytest.raises(BudgetError, match="3921225 subsets"):
+        subalgebras_of_size(alg, 4)
+
+
+def test_relation_budget_checked_before_tuples(monkeypatch):
+    """All 196 pairs over 14 elements under a ternary operation give
+    196^3 > 5M row choices, rejected before any cell is read."""
+    table = tuple(x for x, y, z in itertools.product(range(14), repeat=3))
+    alg = FiniteAlgebra(14, Signature((("f", 3),)), (table,))
+
+    def no_cells(*args):
+        raise AssertionError("a tuple was tried before the budget check")
+
+    monkeypatch.setattr(FiniteAlgebra, "value", no_cells)
+    with pytest.raises(BudgetError, match="relation"):
+        is_compatible_relation(alg, itertools.product(range(14), repeat=2))
 
 
 def test_generated_subuniverse_is_smallest():
@@ -142,72 +116,8 @@ def test_subalgebras_of_size_witnesses():
 
 
 # ---------------------------------------------------------------------------
-# oracles: the checkers before pair closures stopped at known generating
-# pairs and before automorphism candidates were filtered by invariants
-
-
-def oracle_closure(tabs, n, seed):
-    S = np.unique(np.asarray(sorted(seed), dtype=np.int64))
-    while True:
-        pieces = [S]
-        for tab, d in tabs:
-            grid = tab.reshape((n,) * d)
-            pieces.append(grid[np.ix_(*([S] * d))].ravel())
-        new = np.unique(np.concatenate(pieces))
-        if len(new) == len(S):
-            return new
-        S = new
-
-
-def oracle_pair_generated_proper(tabs, n):
-    for a in range(n):
-        for b in range(a + 1, n):
-            S = oracle_closure(tabs, n, (a, b))
-            if len(S) < n:
-                return [int(x) for x in S]
-    return None
-
-
-def oracle_generator_chain(tabs, n):
-    gens = []
-    S = np.empty(0, dtype=np.int64)
-    while len(S) < n:
-        for g in range(n):
-            if g not in S:
-                break
-        gens.append(g)
-        S = oracle_closure(tabs, n, list(S) + [g])
-    return gens
-
-
-def oracle_automorphism_search(tabs, n, find_all):
-    gens = oracle_generator_chain(tabs, n)
-    total = 1
-    for j in range(len(gens)):
-        total *= n - j
-    if total > 500_000:
-        raise BudgetError(
-            f"{total} candidate generator images exceed the search budget")
-    found = []
-    identity = tuple(gens)
-    for imgs in itertools.permutations(range(n), len(gens)):
-        phi = _propagate(tabs, n, gens, imgs)
-        if phi is None or not _is_automorphism(tabs, n, phi):
-            continue
-        perm = tuple(int(x) for x in phi)
-        found.append(perm)
-        if not find_all and imgs != identity:
-            # a nontrivial automorphism exists
-            return found
-    return found
-
-
-def oracle_nontrivial_automorphism(tabs, n):
-    ident = tuple(range(n))
-    for perm in oracle_automorphism_search(tabs, n, find_all=False):
-        if perm != ident:
-            return perm
-    return None
+# against the oracles (tests/oracles.py): pair closures without the early
+# stop and automorphism candidates without the invariant filter
 
 
 def reference_invariants(alg):
@@ -288,6 +198,28 @@ def test_automorphism_budget_checked_before_search(monkeypatch):
         has_nontrivial_automorphism(alg)
     with pytest.raises(BudgetError):
         PROPERTIES["automorphism"].table(_tabs(alg), alg.n, None)
+
+
+def test_automorphism_size_cap_on_every_path(monkeypatch):
+    """n = 65 exceeds AUTOMORPHISM_MAX_N before any generator is chosen,
+    in the public checkers and in the registry entries check runs."""
+    # x + 1 off the diagonal: every pair generates A, so is_idemprimal
+    # gets past the proper subalgebras to the automorphism search
+    table = tuple(x if x == y else (x + 1) % 65
+                  for x, y in itertools.product(range(65), repeat=2))
+    alg = FiniteAlgebra(65, Signature((("f", 2),)), (table,))
+    tabs = _tabs(alg)
+    assert _pair_generated_proper(tabs, 65) is None
+
+    def no_chain(*args):
+        raise AssertionError("the search started above the size cap")
+
+    monkeypatch.setattr(checkers, "_generator_chain", no_chain)
+    for decide in (automorphisms, has_nontrivial_automorphism, is_idemprimal,
+                   lambda alg: PROPERTIES["automorphism"].decide(tabs, 65, None),
+                   lambda alg: PROPERTIES["idemprimal"].decide(tabs, 65, None)):
+        with pytest.raises(BudgetError, match="n=65 exceeds the automorphism budget 64"):
+            decide(alg)
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +307,16 @@ def test_idemprimal_witness_tags():
     res = is_idemprimal(alg)
     assert not res.holds
     assert res.witness[0] in ("proper-subalgebra", "automorphism", "cross")
+
+
+def test_idemprimal_cross_is_the_last_obstruction():
+    alg = cross_only_algebra()
+    assert not has_proper_subalgebra_size_gt1(alg).holds
+    assert not has_nontrivial_automorphism(alg).holds
+    assert is_compatible_relation(alg, cross_relation(3, 0)).holds
+    res = is_idemprimal(alg)
+    assert (res.holds, res.witness) == (False, ("cross", 0))
+    assert res == oracle_is_idemprimal(alg)
 
 
 def test_idemprimal_consistency():

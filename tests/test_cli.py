@@ -3,6 +3,7 @@ import json
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from maltkit import census, factory
@@ -343,6 +344,22 @@ def test_pinned_check_digests(sample, digest, tmp_path, capsys):
     assert main(["check", str(alg), "--property", CHECK_PROPERTIES]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("props", ["automorphism,idemprimal", "automorphism"])
+def test_check_applies_the_automorphism_size_cap(props, tmp_path, capsys):
+    """A random idempotent binary algebra at n = 65: check stops at the
+    n <= 64 automorphism cap, as has_nontrivial_automorphism does."""
+    rng = np.random.default_rng(65)
+    table = rng.integers(0, 65, size=65 * 65)
+    table[::66] = np.arange(65)  # the diagonal cells (a, a)
+    alg = tmp_path / "alg65.json"
+    alg.write_text(json.dumps({"n": 65, "operations": {
+        "f": {"arity": 2, "table": table.tolist()}}}))
+    assert main(["check", str(alg), "--property", props]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: n=65 exceeds the automorphism budget 64\n"
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
