@@ -7,22 +7,26 @@ sweeping all m! permutations: a permutation maps a member f(u) of a class
 to a member with the same symbol and the same pattern, and conversely two
 classes containing members with a common (symbol, pattern) key are related
 by a permutation (any bijection matching the two argument tuples extends
-to one).  Chaining these facts, two classes lie in one orbit iff they are
-connected through shared keys.  A brute-force permutation sweep is kept
-for cross-checking at small m.
+to one).  So two classes lie in one orbit iff they share a key, and an
+orbit's id is the least class root over its classes' keys.  The keys are
+the equality-kernel codes of the arguments (terms.kernel_code), computed
+over arrays indexed by term.  The brute-force permutation sweep that
+cross-checks them at small m lives with the test oracles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations
+
+import numpy as np
 
 from .closure import ClosurePartition, is_satisfiable, triviality_witness
 from .errors import DomainError
-from .terms import LinearTerm, pattern_of, substitute
+from .terms import LinearTerm, kernel_code, substitute
 
 
-@dataclass
+@dataclass(slots=True)
 class ClassInfo:
     class_id: int
     members: list[int]
@@ -66,44 +70,24 @@ class MinimalTermReport:
     witness: tuple[int, ...]  # variable permutation realizing the normal form
 
 
-def _mask_vars(mask: int) -> frozenset[int]:
-    out = set()
-    v = 1
-    while mask:
-        if mask & 1:
-            out.add(v)
-        mask >>= 1
-        v += 1
-    return frozenset(out)
-
-
-def _member_key(universe, i: int):
-    if i < universe.m:
-        return ("var",)
-    t = universe.term_at(i)
-    return (t.symbol, pattern_of(t.args).labels)
-
-
-class _KeyUF:
-    def __init__(self):
-        self.parent = {}
-
-    def find(self, k):
-        p = self.parent
-        if k not in p:
-            p[k] = k
-            return k
-        root = k
-        while p[root] != root:
-            root = p[root]
-        while p[k] != root:
-            p[k], k = root, p[k]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
+def _term_arrays(uni) -> tuple[np.ndarray, np.ndarray]:
+    """Per term index: the bitmask of its variables (bit v-1 for x_v) and
+    its key id, 0 for a variable and one id per (symbol, kernel code) of
+    an application's arguments."""
+    m = uni.m
+    varmask = np.empty(uni.size, dtype=np.int64)
+    key = np.zeros(uni.size, dtype=np.int64)
+    varmask[:m] = 1 << np.arange(m)
+    base = 1
+    for off, (_, d) in zip(uni.offsets, uni.sig.symbols):
+        codes = np.arange(m ** d)
+        cols = [codes // m ** (d - 1 - j) % m for j in range(d)]
+        part = slice(off, off + m ** d)
+        varmask[part] = np.bitwise_or.reduce([1 << c for c in cols])
+        kernel_code(key[part], cols)
+        key[part] += base
+        base += 1 << d * (d - 1) // 2
+    return varmask, key
 
 
 def class_infos(closure: ClosurePartition) -> dict[int, ClassInfo]:
@@ -113,47 +97,34 @@ def class_infos(closure: ClosurePartition) -> dict[int, ClassInfo]:
         return cached
     uni = closure.universe
     members = closure.class_members()
-    ess_mask: dict[int, int] = {}
-    min_pop: dict[int, int] = {}
-    first_key: dict[int, tuple] = {}
-    keys = _KeyUF()
-    for root, mem in members.items():
-        emask = -1
-        mp = uni.m + 1
-        for i in mem:
-            vm = uni.varmask_at(i)
-            emask &= vm
-            mp = min(mp, vm.bit_count())
-            k = _member_key(uni, i)
-            if root in first_key:
-                keys.union(first_key[root], k)
-            else:
-                first_key[root] = keys.find(k)
-        ess_mask[root] = emask
-        min_pop[root] = mp
-    # orbit id: least class root sharing a key component
-    orbit_id: dict[int, int] = {}
-    group_min: dict[tuple, int] = {}
-    for root in members:
-        kr = keys.find(first_key[root])
-        if kr not in group_min or root < group_min[kr]:
-            group_min[kr] = root
-    infos = {}
-    for root, mem in members.items():
-        emask = ess_mask[root]
-        if emask == 0:
+    roots = closure.roots()
+    varmask, key = _term_arrays(uni)
+    var_sets = [frozenset(v + 1 for v in range(uni.m) if mask >> v & 1)
+                for mask in range(1 << uni.m)]
+    pop = np.array([len(s) for s in var_sets])
+    ess = np.full(uni.size, (1 << uni.m) - 1)
+    np.bitwise_and.at(ess, roots, varmask)
+    least_pop = np.full(uni.size, uni.m + 1)
+    np.minimum.at(least_pop, roots, pop[varmask])
+    class_roots = np.flatnonzero(roots == np.arange(uni.size))
+    ess = ess[class_roots]
+    bad = np.flatnonzero(least_pop[class_roots] != pop[ess])
+    if len(bad):
+        if ess[bad[0]] == 0:
             raise DomainError("class with empty essential variable set; "
                               "system is not idempotent or not satisfiable")
-        if min_pop[root] != emask.bit_count():
-            raise AssertionError(
-                "no member realizes the essential variable set exactly; "
-                "this indicates a closure bug or a non-idempotent system")
-        infos[root] = ClassInfo(
-            class_id=root,
-            members=mem,
-            essential_vars=_mask_vars(emask),
-            orbit_id=group_min[keys.find(first_key[root])],
-        )
+        raise AssertionError(
+            "no member realizes the essential variable set exactly; "
+            "this indicates a closure bug or a non-idempotent system")
+    # Classes in one orbit share a key directly (a permutation keeps each
+    # member's symbol and kernel), so one pass finds the least class root
+    # over each class's keys.
+    least = np.full(int(key.max()) + 1, uni.size)
+    np.minimum.at(least, key, roots)
+    orbit = np.full(uni.size, uni.size)
+    np.minimum.at(orbit, roots, least[key])
+    infos = {root: ClassInfo(root, mem, var_sets[emask], oid) for (root, mem), emask, oid
+             in zip(members.items(), ess.tolist(), orbit[class_roots].tolist())}
     closure._class_infos = infos
     return infos
 
@@ -162,29 +133,6 @@ def orbit_partition(closure: ClosurePartition) -> list[ClassInfo]:
     """All ClassInfos, sorted by class id."""
     infos = class_infos(closure)
     return [infos[r] for r in sorted(infos)]
-
-
-def orbit_partition_bruteforce(closure: ClosurePartition) -> dict[int, int]:
-    """Orbit ids via the m! permutation sweep; cross-check oracle for the
-    key-based computation (use at small m only)."""
-    uni = closure.universe
-    members = closure.class_members()
-    uf = _KeyUF()
-    for perm in permutations(range(1, uni.m + 1)):
-        gamma = {v: perm[v - 1] for v in range(1, uni.m + 1)}
-        for root in members:
-            t = uni.term_at(root)
-            image_root = closure.find(uni.index_of(substitute(t, gamma)))
-            uf.union(root, image_root)
-    groups: dict[int, list[int]] = {}
-    for root in members:
-        groups.setdefault(uf.find(root), []).append(root)
-    out = {}
-    for g in groups.values():
-        oid = min(g)
-        for root in g:
-            out[root] = oid
-    return out
 
 
 def essential_variables(closure: ClosurePartition, class_id: int) -> frozenset[int]:
@@ -236,11 +184,8 @@ def canonical_transversal(closure: ClosurePartition) -> Transversal:
     for oid, classes in orbits.items():
         if oid == var_orbit:
             continue
-        candidates = []
-        for info in classes:
-            d = len(info.essential_vars)
-            if info.essential_vars == frozenset(range(1, d + 1)):
-                candidates.append(info)
+        candidates = [info for info in classes
+                      if max(info.essential_vars) == len(info.essential_vars)]
         if not candidates:
             raise AssertionError("orbit without an initial-segment class")
         chosen = min(candidates, key=lambda c: c.class_id)

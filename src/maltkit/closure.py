@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 
+import numpy as np
+
 from .errors import BudgetError, DomainError
 from .terms import (
     Identity,
@@ -82,20 +84,6 @@ class TermUniverse:
                 return LinearTerm.app(sym, args)
         raise IndexError(i)
 
-    def varmask_at(self, i: int) -> int:
-        """Bitmask of the variables of term i (bit v-1 for x_v)."""
-        if i < self.m:
-            return 1 << i
-        mask = 0
-        for sym in range(len(self.sig) - 1, -1, -1):
-            if i >= self.offsets[sym]:
-                rest = i - self.offsets[sym]
-                for p in self._pows[sym]:
-                    mask |= 1 << (rest // p)
-                    rest %= p
-                return mask
-        raise IndexError(i)
-
     def render(self, i: int) -> str:
         names = variable_names(self.sig, self.m)
         return render_term(self.term_at(i), self.sig, names)
@@ -152,13 +140,26 @@ class ClosurePartition:
     def m(self) -> int:
         return self.universe.m
 
+    def roots(self) -> np.ndarray:
+        """The class root of every term index, by pointer jumping on parent.
+        union keeps the smaller root, so each root is its class's least
+        member."""
+        roots = np.array(self.parent, dtype=np.int64)
+        while True:
+            jumped = roots[roots]
+            if np.array_equal(jumped, roots):
+                return roots
+            roots = jumped
+
     def class_members(self) -> dict[int, list[int]]:
-        """Map from class root to the sorted member indices."""
+        """Map from class root to the sorted member indices, by root."""
         if self._members is None:
-            members: dict[int, list[int]] = {}
-            for i in range(self.universe.size):
-                members.setdefault(self.find(i), []).append(i)
-            self._members = members
+            roots = self.roots()
+            order = np.argsort(roots, kind="stable")
+            starts = np.flatnonzero(np.diff(roots[order], prepend=-1))
+            bounds = np.append(starts, len(order)).tolist()
+            flat = order.tolist()
+            self._members = {flat[a]: flat[a:b] for a, b in zip(bounds, bounds[1:])}
         return self._members
 
     def class_of(self, t: LinearTerm) -> int:

@@ -24,7 +24,7 @@ from .analysis import Transversal, canonical_transversal
 from .closure import ClosurePartition, compute_closure
 from .errors import BudgetError, DomainError, ParseError
 from .params import p_of_k, parameters
-from .terms import LinearTerm, Signature, SystemSpec
+from .terms import LinearTerm, Signature, SystemSpec, kernel_code
 
 DEFAULT_MAX_CELLS = 100_000_000
 
@@ -254,15 +254,15 @@ class TablePlan:
         self.symbols = []
         for sym in range(len(sig)):
             d = sig.arity(sym)
-            # the equality kernel of each cell's arguments, one bit per pair
-            pairs = list(combinations(range(d), 2))
-            kernel = np.zeros((n,) * d, dtype=np.int64)
-            for bit, (j, k) in enumerate(pairs):
-                kernel |= (_axis(n, d, j) == _axis(n, d, k)) << bit
+            # the equality kernel of each cell's arguments and of each pattern
+            kernel = kernel_code(np.zeros((n,) * d, dtype=np.int64),
+                                 [_axis(n, d, j) for j in range(d)])
+            rules = dispatch.rules[sym]
+            mus = np.array(list(rules), dtype=np.int64)
+            masks = kernel_code(np.zeros(len(mus), dtype=np.int64), list(mus.T))
             pos = np.zeros(n ** d, dtype=np.int64)
             var_idx, var_arg = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-            for mu, (entry, sigma) in dispatch.rules[sym].items():
-                mask = sum(1 << bit for bit, (j, k) in enumerate(pairs) if mu[j] == mu[k])
+            for mask, (entry, sigma) in zip(masks.tolist(), rules.values()):
                 idx = np.flatnonzero(kernel == mask)
                 if entry == 0:
                     var_idx.append(idx)

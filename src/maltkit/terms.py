@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .errors import ParseError
 
@@ -164,6 +165,16 @@ def pattern_of(values) -> Pattern:
             labels[v] = len(labels)
         out.append(labels[v])
     return Pattern(tuple(out))
+
+
+def kernel_code(out, cols):
+    """Accumulate into the int64 array out, in place, the equality-kernel
+    code of the tuples whose j-th coordinates are cols[j]: one bit per
+    argument pair (j, k), in combinations order, set where the two are
+    equal.  With one column there is no pair and out is left as it is."""
+    for bit, (j, k) in enumerate(combinations(range(len(cols)), 2)):
+        out |= (cols[j] == cols[k]) << bit
+    return out
 
 
 def substitute(t: LinearTerm, gamma) -> LinearTerm:

@@ -7,6 +7,9 @@ known generating pairs, the automorphism search over every injective
 image of the generator chain, the product loop over B^d for subuniverses,
 the minority-pair search over single cells, and Szendrei's criterion
 built from these oracles, with crosses checked as generic relations.
+The class-info oracles are the analysis layer's earlier per-term version:
+essential sets and (symbol, pattern) keys read off each LinearTerm, keys
+joined in a dict union-find, and orbits by the m! permutation sweep.
 """
 
 import itertools
@@ -15,11 +18,13 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
+from maltkit.analysis import ClassInfo
 from maltkit.checkers import (PropertyResult, _is_automorphism, _propagate,
                               _tabs, cross_relation, is_compatible_relation)
-from maltkit.errors import BudgetError
+from maltkit.errors import BudgetError, DomainError
 from maltkit.factory import FiniteAlgebra
-from maltkit.terms import Signature
+from maltkit.terms import (Identity, LinearTerm, Signature, SystemSpec,
+                           pattern_of, substitute)
 
 # ---------------------------------------------------------------------------
 # random idempotent algebras
@@ -85,18 +90,35 @@ def cross_only_algebra():
     return FiniteAlgebra(3, Signature((("f", 2),)), (table,))
 
 
+def absorbing_algebra(n, arities, a, rng):
+    """A random idempotent algebra in which every cell whose first argument
+    is a takes the value a, so the cross at a is compatible."""
+    alg = random_algebra(n, arities, rng)
+    tables = []
+    for table, d in zip(alg.tables, arities):
+        cells = list(table)
+        for idx in range(a * n ** (d - 1), (a + 1) * n ** (d - 1)):
+            cells[idx] = a
+        tables.append(tuple(cells))
+    return FiniteAlgebra(n, alg.signature, tuple(tables))
+
+
 @st.composite
 def small_algebras(draw):
     """Random idempotent algebras at n <= 6: plain random tables, tables
-    invariant under a random permutation, and the affine algebra."""
+    invariant under a random permutation, tables with a left-absorbing
+    element (a compatible cross, often the only obstruction), and the
+    affine algebra."""
     n = draw(st.integers(1, 6))
-    kind = draw(st.sampled_from(("random", "invariant", "affine")))
+    kind = draw(st.sampled_from(("random", "invariant", "absorbing", "affine")))
     if kind == "affine":
         return affine_algebra(n)
     arities = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     if kind == "random":
         return random_algebra(n, arities, rng)
+    if kind == "absorbing":
+        return absorbing_algebra(n, arities, draw(st.integers(0, n - 1)), rng)
     return invariant_algebra(rng.permutation(n), arities, rng)
 
 
@@ -223,3 +245,105 @@ def oracle_has_minority_two_subalgebra(algebra, symbol):
                     and oracle_is_subuniverse(algebra, (a, b)).holds:
                 return PropertyResult("minority-2-subalgebra", True, (a, b))
     return PropertyResult("minority-2-subalgebra", False)
+
+
+# ---------------------------------------------------------------------------
+# class infos and orbits
+
+
+class _UnionFind:
+    """Union-find over hashable keys, grown on first sight of a key."""
+
+    def __init__(self):
+        self.parent = {}
+
+    def find(self, k):
+        while self.parent.setdefault(k, k) != k:
+            k = self.parent[k]
+        return k
+
+    def union(self, a, b):
+        self.parent[self.find(b)] = self.find(a)
+
+
+def _classes(closure):
+    """Class root -> sorted members, by find on every term index."""
+    members = {}
+    for i in range(closure.universe.size):
+        members.setdefault(closure.find(i), []).append(i)
+    return members
+
+
+def oracle_class_infos(closure):
+    """ClassInfo per class root from the LinearTerm of every member: the
+    essential set is the common variable set, and two classes share an
+    orbit when their members' (symbol, pattern) keys are joined."""
+    uni = closure.universe
+    members = _classes(closure)
+    keys = _UnionFind()
+    common, least, first_key = {}, {}, {}
+    for root, mem in members.items():
+        for i in mem:
+            t = uni.term_at(i)
+            vs = t.variables()
+            common[root] = common.get(root, vs) & vs
+            least[root] = min(least.get(root, uni.m + 1), len(vs))
+            k = ("var",) if t.is_variable else (t.symbol, pattern_of(t.args).labels)
+            keys.union(first_key.setdefault(root, k), k)
+    group_min = {}
+    for root in members:  # in increasing order
+        group_min.setdefault(keys.find(first_key[root]), root)
+    infos = {}
+    for root, mem in members.items():
+        if not common[root]:
+            raise DomainError("class with empty essential variable set; "
+                              "system is not idempotent or not satisfiable")
+        if least[root] != len(common[root]):
+            raise AssertionError(
+                "no member realizes the essential variable set exactly; "
+                "this indicates a closure bug or a non-idempotent system")
+        infos[root] = ClassInfo(root, mem, common[root],
+                                group_min[keys.find(first_key[root])])
+    return infos
+
+
+def orbit_partition_bruteforce(closure):
+    """Orbit id (least class root) per class root, by applying all m!
+    variable permutations to every class root's term."""
+    uni = closure.universe
+    members = _classes(closure)
+    uf = _UnionFind()
+    for perm in itertools.permutations(range(1, uni.m + 1)):
+        gamma = {v: perm[v - 1] for v in range(1, uni.m + 1)}
+        for root in members:
+            image = substitute(uni.term_at(root), gamma)
+            uf.union(root, closure.find(uni.index_of(image)))
+    least = {}
+    for root in members:  # in increasing order
+        least.setdefault(uf.find(root), root)
+    return {root: least[uf.find(root)] for root in members}
+
+
+@st.composite
+def small_systems(draw):
+    """1-2 symbols of arity <= 3 and 1-3 linear identities, each side a
+    variable or one symbol applied to variables, renumbered 1..k in order
+    of first occurrence."""
+    arities = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+    sig = Signature(tuple((f"f{i}", d) for i, d in enumerate(arities)))
+    idents = []
+    for _ in range(draw(st.integers(1, 3))):
+        sides = []
+        for _ in range(2):
+            sym = draw(st.integers(-1, len(arities) - 1))
+            d = 1 if sym < 0 else arities[sym]
+            sides.append((sym, draw(st.lists(st.integers(1, 4), min_size=d, max_size=d))))
+        first = {}
+        for _, args in sides:
+            for v in args:
+                first.setdefault(v, len(first) + 1)
+        lhs, rhs = (LinearTerm.var(first[args[0]]) if sym < 0
+                    else LinearTerm.app(sym, [first[v] for v in args])
+                    for sym, args in sides)
+        idents.append(Identity(lhs, rhs))
+    return SystemSpec(sig, tuple(idents))

@@ -1,16 +1,22 @@
 import math
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maltkit.analysis import (canonical_transversal, class_infos,
                               classify_minimal, essential_variables,
                               essentially_different, is_minimal,
-                              minimal_terms, orbit_partition,
-                              orbit_partition_bruteforce, symmetry_group)
-from maltkit.closure import compute_closure
+                              minimal_terms, orbit_partition, symmetry_group)
+from maltkit.closure import ClosurePartition, TermUniverse, compute_closure
 from maltkit.errors import DomainError
 from maltkit.library import builtin_system
-from maltkit.terms import LinearTerm, parse_system
+from maltkit.terms import LinearTerm, parse_system, required_variable_count
+
+from oracles import oracle_class_infos, orbit_partition_bruteforce, small_systems
+
+SYSTEMS_DIR = Path(__file__).resolve().parent.parent / "src" / "maltkit" / "systems"
 
 
 def render(closure, t):
@@ -48,6 +54,65 @@ def test_orbit_key_method_matches_bruteforce_4ary():
     brute = orbit_partition_bruteforce(clo)
     for root, info in class_infos(clo).items():
         assert info.orbit_id == brute[root]
+
+
+def fixture_spec(path):
+    return parse_system(path.read_text(), name=path.stem)
+
+
+def universe_size(spec):
+    return TermUniverse(spec.signature, required_variable_count(spec)).size
+
+
+# the per-term oracle needs ~17 s for cube-3's 823,550 terms alone
+ORACLE_FIXTURES = [p for p in sorted(SYSTEMS_DIR.glob("*.mlt"))
+                   if universe_size(fixture_spec(p)) <= 50_000]
+
+
+@pytest.mark.parametrize("path", ORACLE_FIXTURES, ids=lambda p: p.stem)
+def test_class_infos_match_oracle_on_fixtures(path):
+    clo = compute_closure(fixture_spec(path))
+    assert class_infos(clo) == oracle_class_infos(clo)
+
+
+def outcome(analysis, clo):
+    """The analysis result, or the type and message of its error."""
+    try:
+        return analysis(clo)
+    except (DomainError, AssertionError) as exc:
+        return type(exc), str(exc)
+
+
+@given(small_systems())
+@settings(max_examples=200, deadline=None)
+def test_class_infos_match_oracles_on_random_systems(spec):
+    clo = compute_closure(spec)
+    got = outcome(class_infos, clo)
+    assert got == outcome(oracle_class_infos, clo)
+    if isinstance(got, dict):
+        brute = orbit_partition_bruteforce(clo)
+        assert {root: info.orbit_id for root, info in got.items()} == brute
+
+
+def test_class_infos_rejects_unsatisfiable_closure():
+    spec = parse_system("signature f/2\nidentity f(x,y) = x\n"
+                        "identity f(x,y) = y\n")
+    with pytest.raises(DomainError, match="class with empty essential variable set"):
+        class_infos(compute_closure(spec))
+
+
+def test_roots_and_members_follow_parent_chains():
+    spec = builtin_system("maltsev")
+    clo = ClosurePartition(spec, TermUniverse(spec.signature, 3))
+    for i, j in ((5, 6), (4, 5), (3, 4)):  # parent chain 6 -> 5 -> 4 -> 3
+        clo.union(i, j)
+    assert clo.parent[3:7] == [3, 3, 4, 5]
+    roots = list(range(clo.universe.size))
+    roots[4:7] = [3, 3, 3]
+    assert clo.roots().tolist() == roots
+    members = clo.class_members()
+    assert list(members) == sorted(set(roots))
+    assert members[3] == [3, 4, 5, 6] and members[7] == [7]
 
 
 # ---------------------------------------------------------------------------

@@ -206,6 +206,129 @@ def test_pinned_output_digests(command, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# SHA-256 of `analyze --json` stdout for every shipped fixture, recorded
+# before class infos moved to index arrays
+PINNED_ANALYSES = {
+    "commutative-maltsev":
+        "ec336d8c34f379703f10693751e2781f652507c16e305197256f16bf4551f026",
+    "cube-2":
+        "ecb31e2b313e46699db03ac3d74cd94aa16cff8d01081345aaa3b3f8ed5ce882",
+    "cube-3":
+        "977256d4fc011d3fdfa39ff9fbc257b4e87873dc6cf5d1303854ebb3c55ccf91",
+    "cyclic-2":
+        "fb240360d907a7bd827882ea77efd1139c5a1b784031fa609fb3faa4543271b8",
+    "cyclic-3":
+        "4c42a48917aabc2cdd754dd0bb03e81d94146b933da6f2cef457eef7496ccff9",
+    "cyclic-4":
+        "cdf7c9a728af9101d74221f590de1eb74e297c706721454face82dbfc4081c3d",
+    "cyclic-5":
+        "250a12a74b9994939359939e6972d2187c0c2f35aa83e7eaad34a56a92e6ecfb",
+    "day-2":
+        "6822cf0a6ffce8e3e950e3e21105afde1f85ca48a273e01fb0a97115b59d1f5c",
+    "day-3":
+        "8c460c97e74a5a1926c102f81c22f83d1e9e2ff94b8beaf1c67565c2beb574d3",
+    "day-4":
+        "7b4df81355ecaffec32c542d30ee4b63ce1c9dedcadc561efac75b619eeebeb1",
+    "day-5":
+        "0a868bf11e03498f5c6720432b58420ff0339dfe2eba03fb4df4c8e821aab4bc",
+    "edge-2":
+        "fce66da65e0ad4540507c9ec4d7dc46f914cc28d72d6410e3368c1810aeff283",
+    "edge-3":
+        "bf58a08ebffe31cdedfedb51b25b37829188837f54059898128c2be15e4c736a",
+    "edge-4":
+        "895d8ae0355b74d1d8f22c045a745c74f4ad6953dfc99c93d082b03f8fe3a0bc",
+    "edge-5":
+        "1db6977e2e24a47b4a2ea199b4100b67f741ad026b7cc1ee1a56c1eb464bd998",
+    "gumm-0":
+        "57f2920399d852aceb356cfb12e983c90c6446ef898684bb2c8b2bf131ad65eb",
+    "gumm-1":
+        "e8514748b4afee2a5bce0a1f1b74def11ddbe29d89e79305a9609951e672a86e",
+    "gumm-2":
+        "587faccf28ae9cc5f2e0b9448fe590b0114728494de96b1d51534e836f6d425e",
+    "gumm-3":
+        "4731336a0d570b3ec7dc049912961503ebeea0eb2be0a215446f8b0f154a3e49",
+    "gumm-4":
+        "aa92b33563d6fa9dcf640fea7965134900028a4f394ced3b88a75f008735361e",
+    "gumm-5":
+        "4d92c6ee809c1bf2ab08b82af6727a6185cea1dd6d634f9166aa656d1f8ab07d",
+    "hagemann-mitschke-2":
+        "745cc503be884d98669e7a9bdbb8e104403b0a0d193c6b5c3657932c698665c7",
+    "hagemann-mitschke-3":
+        "6bd7c859e1cb05fcd6030e0a92f4706b5351d20326657a7b8ba66d4c4d5242d3",
+    "hagemann-mitschke-4":
+        "a1c259df0908be0ee259458eac83248d98887c7c9abb1db786c25b82e365ca0b",
+    "hagemann-mitschke-5":
+        "14a91d2ed19ebd72a3534538d15ff304b399dd669d3e202fd6035436cc63dd63",
+    "jonsson-2":
+        "ae21bba800f44e94c31f45f7bd0b6aa4c3c5cbe6be111dd126e0fb170885b48a",
+    "jonsson-3":
+        "d79a71613a0bfc52e405895a45c41ba45459559dd23ef435b8a54aeff749f3c9",
+    "jonsson-4":
+        "8bb292889e9c0fa3ccc575d3e446232111680d9cab6ccf7c84b5e546bda4ee7c",
+    "jonsson-5":
+        "34173f4bd3f8696f1c48e4b2ccda0a6a9f515144e1df7e4029f4518d7c72160a",
+    "majority":
+        "ff4a37c833891f6f9746043a4a4535d3adad555a6767d1489a390ae6c1a47a3e",
+    "maltsev":
+        "1f7e9186de989f9a1d4b2022b8ce03dcd8b0ae35509d22c325d92a5dba0caa62",
+    "minority1":
+        "61a6612bc6a0f5e00ba6544afbf1f6f7bd1ecc9460c684c9589524e07482923f",
+    "minority2":
+        "bf06c2beba611543f043686e67e224079720df8b1e2b8c45bd10200d9e0936d4",
+    "minority3":
+        "a68a9456eded0539882706ec7e7bb600a7ee74bc2e73f5ddd58cf00b83d9ce16",
+    "near-unanimity-3":
+        "48a3f4bd488da39efa84a97f1e5bde0a2e453ef404f5ab0ec93a3740c4041d41",
+    "near-unanimity-4":
+        "9bb78c3c457726daae82d0c6c2755d613b5b9f3bc5dd1902c58da9180879ced6",
+    "near-unanimity-5":
+        "064cdd3e4e649fcf9d28a9ba944495a1ed1f71e2f70230e934855aff5ca8fc56",
+    "olsak":
+        "744026de67f29fb1682f3adfd259513c01517156a0b6bfd8e8cc5c29dd6273de",
+    "parallelogram-1-1":
+        "9c84db645c57b087b82233554e882273458ccbbdbe666950ec9fe0d24ea6db00",
+    "parallelogram-1-2":
+        "e624e66206918092258788870b0057ff600650c228cef5d7bb87ce4e70ecda8e",
+    "parallelogram-2-1":
+        "8f25a0b3343491ffe29a8006fc106acf071df83f6206deda6453d33b6b19ac35",
+    "pixley-pair":
+        "57157436e43aad55235d6cd98bd1f07d1ce98eec7f022eff21be0ceb7ba92b8d",
+    "sd-join-2":
+        "c86a3b5b6aad9411f2c1308df522a02f7666083dca312b8eed1b8a8b9a14e9fe",
+    "sd-join-3":
+        "0143595a5ebfe95a2ed00eab2001a82db33e42cad76e04d5c54bdd77ec20cc46",
+    "sd-join-4":
+        "b8be7dbdf59aaa994f9ff01505d99a8f832a1f91d5aa04c79315952e42a02ec4",
+    "sd-join-5":
+        "572fcafbf76b361404aa8e2019fc97be6642872685e5c1fa71a423c8fc6c44eb",
+    "siggers4":
+        "9d9ad439efea04711a74aa9aa504adb3aec28b072b7177e3b885da7e52256bd2",
+    "siggers6":
+        "e9baf20172091f7eceb2720b02bc6d135b7bd7fb0a911e3b734b05747adf8f13",
+    "two-thirds-minority":
+        "40af7cebd9deb78a826816bf5ca3622b29e21c8571e08394833b9e9b66285d7c",
+    "weak-nu-3":
+        "da0b7471064e16e1fa9fd65f26227f61451ae7c1e0c967dec9b718cd06046dd8",
+    "weak-nu-4":
+        "e4ebe88d97d4c46d2f67c643ca022453e0a6dc11f1b9da3c2f0b348051133a4d",
+    "weak-nu-5":
+        "a9bc802b04b8ce349e5e0bf0c28601f9541c18d786423343953de6e7667f18f0",
+}
+
+
+def test_pinned_analyses_cover_every_fixture():
+    assert set(PINNED_ANALYSES) == {p.stem for p in SYSTEMS_DIR.glob("*.mlt")}
+
+
+@pytest.mark.parametrize("system,digest", sorted(PINNED_ANALYSES.items()))
+def test_pinned_analysis_digests(system, digest, capsys):
+    """In a full run, cube-3 reuses the closure and class infos cached by
+    the verdict-table acceptance test."""
+    assert main(["analyze", str(SYSTEMS_DIR / f"{system}.mlt"), "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("command", [
     "census near-unanimity-5 -n 64 --samples 10 --seed 1 --property subalg2",
     "sample near-unanimity-5 -n 64 --seed 1",
