@@ -10,12 +10,10 @@ from .errors import BudgetError, DomainError, MaltkitError, ParseError
 from .terms import (
     Identity,
     LinearTerm,
-    Pattern,
     Signature,
     SystemSpec,
     identification_minors,
     parse_system,
-    pattern_of,
     render_system,
     required_variable_count,
     substitute,

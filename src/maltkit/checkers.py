@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 
 import numpy as np
@@ -21,6 +22,7 @@ from .factory import FiniteAlgebra
 
 AUTOMORPHISM_MAX_N = 64
 SUBSET_BUDGET = 2_000_000
+_GATHER_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -70,18 +72,19 @@ def is_subuniverse(algebra: FiniteAlgebra, B) -> PropertyResult:
 def _closure_np(tabs, n: int, seed, generating=None) -> np.ndarray:
     """The subuniverse generated by seed, sorted.  Stops at A as soon as it
     holds a pair marked in the n x n boolean matrix generating, if given."""
-    S = np.unique(np.asarray(sorted(seed), dtype=np.int64))
-    while True:
+    member = np.zeros(n, dtype=bool)
+    member[list(seed)] = True
+    S = np.flatnonzero(member)
+    while len(S) < n:
         if generating is not None and generating[np.ix_(S, S)].any():
             return np.arange(n)
-        pieces = [S]
         for tab, d in tabs:
-            grid = tab.reshape((n,) * d)
-            pieces.append(grid[np.ix_(*([S] * d))].ravel())
-        new = np.unique(np.concatenate(pieces))
+            member[tab.reshape((n,) * d)[np.ix_(*([S] * d))]] = True
+        new = np.flatnonzero(member)
         if len(new) == len(S):
-            return new
+            break
         S = new
+    return S
 
 
 def generated_subuniverse(algebra: FiniteAlgebra, G) -> list[int]:
@@ -101,16 +104,63 @@ def has_proper_subalgebra_size_gt1(algebra: FiniteAlgebra) -> PropertyResult:
 def _pair_generated_proper(tabs, n: int):
     """Smallest-pair witness of a proper subalgebra of size > 1, or None.
     Any proper subalgebra of size >= 2 contains a 2-generated proper one,
-    so O(n^2) pair closures suffice.  A proper closure never holds a pair
-    known to generate A, so its early stop leaves the witness unchanged."""
+    so the pairs {a, b} suffice, in lexicographic order.
+
+    Pairs are settled by reachability: the one-step values f(u), u over
+    {a, b}, lie in Sg(a, b), so if two of them form a pair known to
+    generate A, {a, b} generates A too.  Only pairs still open get a
+    closure, which stops at a known generating pair.  A proper closure
+    never holds one, so the first proper pair is never settled and its
+    full closure is the witness, as when every pair is closed."""
+    if n < 2:
+        return None
+    S = _closure_np(tabs, n, (0, 1))
+    if len(S) < n:
+        return [int(x) for x in S]
+    a, b = np.triu_indices(n, 1)
+    V = np.concatenate([a[:, None], b[:, None]]
+                       + [tab[_pair_cells(n, d)] for tab, d in tabs], axis=1)
+    I, J = np.triu_indices(V.shape[1], 1)
     generating = np.zeros((n, n), dtype=bool)
-    for a in range(n):
-        for b in range(a + 1, n):
-            S = _closure_np(tabs, n, (a, b), generating)
-            if len(S) < n:
-                return [int(x) for x in S]
-            generating[a, b] = generating[b, a] = True
-    return None
+    done = np.zeros(len(a), dtype=bool)
+    p = 0
+    while True:
+        new = np.array([p])
+        while len(new):
+            done[new] = True
+            generating[a[new], b[new]] = generating[b[new], a[new]] = True
+            rest = np.flatnonzero(~done)
+            new = rest[_holds_pair(V[rest], I, J, generating)]
+        if not len(rest):
+            return None
+        p = rest[0]
+        S = _closure_np(tabs, n, (a[p], b[p]), generating)
+        if len(S) < n:
+            return [int(x) for x in S]
+
+
+@lru_cache(maxsize=16)
+def _pair_cells(n: int, d: int) -> np.ndarray:
+    """Row i: the flat indices of the arity-d cells over the i-th pair
+    {a, b} in combinations order, both a and b among the arguments (the
+    two constant cells are left out)."""
+    pairs = np.stack(np.triu_indices(n, 1), axis=1)
+    bits = (np.arange(1, (1 << d) - 1)[:, None] >> np.arange(d - 1, -1, -1)) & 1
+    cells = pairs[:, bits] @ n ** np.arange(d - 1, -1, -1)
+    cells.flags.writeable = False
+    return cells
+
+
+def _holds_pair(V, I, J, marked) -> np.ndarray:
+    """Whether each row of V holds, in some column pair (I[k], J[k]), a
+    pair marked in the n x n boolean matrix.  Rows go in chunks so that
+    the gathered index arrays stay near _GATHER_CHUNK entries."""
+    out = np.zeros(len(V), dtype=bool)
+    step = max(1, _GATHER_CHUNK // len(I))
+    for s in range(0, len(V), step):
+        W = V[s:s + step]
+        out[s:s + step] = marked[W[:, I], W[:, J]].any(axis=1)
+    return out
 
 
 def subalgebras_of_size(algebra: FiniteAlgebra, k: int) -> list[tuple[int, ...]]:
@@ -210,8 +260,13 @@ def _automorphism_search(tabs, n: int):
     inv = _invariants(tabs, n)
     candidates = [np.flatnonzero((inv == inv[g]).all(axis=1)).tolist()
                   for g in gens]
+    chain = tuple(gens)
     for imgs in product(*candidates):
         if len(set(imgs)) < len(imgs):
+            continue
+        if imgs == chain:
+            # a map is fixed by its values on a generating set
+            yield tuple(range(n))
             continue
         phi = _propagate(tabs, n, gens, imgs)
         if phi is not None and _is_automorphism(tabs, n, phi):
@@ -251,9 +306,11 @@ def _cross_compatible_np(tabs, n: int, a: int):
         for bits in range(1 << d):
             T = [j for j in range(d) if bits >> j & 1]
             comp = [j for j in range(d) if not bits >> j & 1]
-            idx_u = tuple(a if j in T else slice(None) for j in range(d))
-            idx_v = tuple(a if j in comp else slice(None) for j in range(d))
-            if not (np.all(grid[idx_u] == a) or np.all(grid[idx_v] == a)):
+            on_T = tuple(a if j in T else slice(None) for j in range(d))
+            on_comp = tuple(a if j in comp else slice(None) for j in range(d))
+            # the side pinned on more coordinates is the smaller slice
+            sides = (on_T, on_comp) if len(T) >= len(comp) else (on_comp, on_T)
+            if not any(np.all(grid[idx] == a) for idx in sides):
                 return False, tuple(T)
     return True, None
 

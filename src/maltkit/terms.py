@@ -127,46 +127,6 @@ class SystemSpec:
                 raise ValueError("identity variables must be contiguous from 1")
 
 
-@dataclass(frozen=True)
-class Pattern:
-    """Equality kernel of a tuple in first-occurrence canonical labels,
-    e.g. (a,b,a) -> (0,1,0)."""
-
-    labels: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.labels:
-            raise ValueError("empty pattern")
-        if self.labels[0] != 0:
-            raise ValueError("pattern must start at 0")
-        top = 0
-        for lb in self.labels[1:]:
-            if lb > top + 1 or lb < 0:
-                raise ValueError("pattern labels must be in first-occurrence form")
-            top = max(top, lb)
-
-    def __len__(self):
-        return len(self.labels)
-
-    @property
-    def num_blocks(self) -> int:
-        return max(self.labels) + 1
-
-
-def pattern_of(values) -> Pattern:
-    """Canonical first-occurrence labeling of a tuple from any ordered set."""
-    values = tuple(values)
-    if not values:
-        raise ValueError("empty tuple has no pattern")
-    labels = {}
-    out = []
-    for v in values:
-        if v not in labels:
-            labels[v] = len(labels)
-        out.append(labels[v])
-    return Pattern(tuple(out))
-
-
 def kernel_code(out, cols):
     """Accumulate into the int64 array out, in place, the equality-kernel
     code of the tuples whose j-th coordinates are cols[j]: one bit per

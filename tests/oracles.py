@@ -2,11 +2,13 @@
 checker and census tests compare against.
 
 Each oracle is an earlier, slower version of a decision that now lives
-once in maltkit.checkers: the pair closure without the early stop at
-known generating pairs, the automorphism search over every injective
-image of the generator chain, the product loop over B^d for subuniverses,
-the minority-pair search over single cells, and Szendrei's criterion
-built from these oracles, with crosses checked as generic relations.
+once in maltkit.checkers: a closure of every pair in turn, without the
+early stop at known generating pairs or pairs settled by reachability,
+the automorphism search over every injective image of the generator
+chain, the product loop over B^d for subuniverses, the cross test that
+evaluates the pinned-on-T side first, the minority-pair search over
+single cells, and Szendrei's criterion built from these oracles, with
+crosses checked as generic relations.
 The class-info oracles are the analysis layer's earlier per-term version:
 essential sets and (symbol, pattern) keys read off each LinearTerm, keys
 joined in a dict union-find, and orbits by the m! permutation sweep.
@@ -24,7 +26,18 @@ from maltkit.checkers import (PropertyResult, _is_automorphism, _propagate,
 from maltkit.errors import BudgetError, DomainError
 from maltkit.factory import FiniteAlgebra
 from maltkit.terms import (Identity, LinearTerm, Signature, SystemSpec,
-                           pattern_of, substitute)
+                           substitute)
+
+# ---------------------------------------------------------------------------
+# argument patterns
+
+
+def pattern_of(values):
+    """The equality kernel of a tuple as first-occurrence labels, e.g.
+    (a, b, a) -> (0, 1, 0): the key of the dispatch rules."""
+    labels = {}
+    return tuple(labels.setdefault(v, len(labels)) for v in values)
+
 
 # ---------------------------------------------------------------------------
 # random idempotent algebras
@@ -215,6 +228,20 @@ def oracle_nontrivial_automorphism(tabs, n):
 # crosses, idemprimality and minority pairs
 
 
+def oracle_cross_compatible(tabs, n, a):
+    """(ok, T) of the decoupled cross test, pinned-on-T side first."""
+    for tab, d in tabs:
+        grid = tab.reshape((n,) * d)
+        for bits in range(1 << d):
+            T = [j for j in range(d) if bits >> j & 1]
+            comp = [j for j in range(d) if not bits >> j & 1]
+            idx_u = tuple(a if j in T else slice(None) for j in range(d))
+            idx_v = tuple(a if j in comp else slice(None) for j in range(d))
+            if not (np.all(grid[idx_u] == a) or np.all(grid[idx_v] == a)):
+                return False, tuple(T)
+    return True, None
+
+
 def oracle_any_cross(algebra):
     """The first a whose cross passes the generic relation check, or None."""
     return next((a for a in range(algebra.n) if is_compatible_relation(
@@ -288,7 +315,7 @@ def oracle_class_infos(closure):
             vs = t.variables()
             common[root] = common.get(root, vs) & vs
             least[root] = min(least.get(root, uni.m + 1), len(vs))
-            k = ("var",) if t.is_variable else (t.symbol, pattern_of(t.args).labels)
+            k = ("var",) if t.is_variable else (t.symbol, pattern_of(t.args))
             keys.union(first_key.setdefault(root, k), k)
     group_min = {}
     for root in members:  # in increasing order

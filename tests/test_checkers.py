@@ -7,7 +7,8 @@ from hypothesis import given, settings
 
 from maltkit import checkers
 from maltkit.analysis import canonical_transversal
-from maltkit.checkers import (_any_cross_np, _generator_chain, _minority_values,
+from maltkit.checkers import (_any_cross_np, _cross_compatible_np,
+                              _generator_chain, _minority_values,
                               _nontrivial_automorphism,
                               _pair_generated_proper, _propagate, _tabs,
                               automorphisms, cross_compatible, cross_relation,
@@ -17,14 +18,15 @@ from maltkit.checkers import (_any_cross_np, _generator_chain, _minority_values,
                               has_proper_subalgebra_size_gt1, is_compatible_relation,
                               is_idemprimal, is_subuniverse, subalgebras_of_size)
 from maltkit.closure import compute_closure
-from maltkit.census import PROPERTIES
+from maltkit.census import PROPERTIES, CensusEngine
 from maltkit.errors import BudgetError, DomainError
-from maltkit.factory import (FiniteAlgebra, build_dispatch, mix, realize,
-                             sample_mfamily)
+from maltkit.factory import (FiniteAlgebra, build_dispatch, draw_values, mix,
+                             realize, sample_mfamily)
 from maltkit.library import builtin_system
 from maltkit.terms import Signature
 from oracles import (affine_algebra, cross_only_algebra, invariant_algebra,
-                     oracle_automorphism_search, oracle_generator_chain,
+                     oracle_automorphism_search, oracle_closure,
+                     oracle_cross_compatible, oracle_generator_chain,
                      oracle_is_idemprimal,
                      oracle_nontrivial_automorphism,
                      oracle_pair_generated_proper, random_algebra,
@@ -144,24 +146,59 @@ def test_checkers_match_oracles(alg):
     assert _generator_chain(tabs, n) == oracle_generator_chain(tabs, n)
     assert _nontrivial_automorphism(tabs, n) == oracle_nontrivial_automorphism(tabs, n)
     assert automorphisms(alg) == sorted(oracle_automorphism_search(tabs, n, True))
+    for a in range(n):
+        assert _cross_compatible_np(tabs, n, a) == oracle_cross_compatible(tabs, n, a)
+
+
+def test_checkers_match_oracles_on_census_samples():
+    """Pair generation and the cross test agree with the oracles on census
+    samples, where almost every pair generates A and most pairs are settled
+    by reachability; some witness is found after pairs before it were
+    settled without a closure."""
+    closure, settled_before_witness = checkers._closure_np, 0
+    for args, n, count in ((("hagemann-mitschke", 3), 16, 12),
+                           (("maltsev",), 5, 60), (("maltsev",), 8, 40),
+                           (("commutative-maltsev",), 5, 60),
+                           (("near-unanimity", 5), 8, 6), (("majority",), 6, 20)):
+        ctx = CensusEngine(builtin_system(*args)).context(n)
+        for j in range(count):
+            tabs = ctx.realize_np(draw_values(mix(77, j), n, ctx.total_draws))
+            closed = []
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(checkers, "_closure_np",
+                          lambda *a: closed.append(a) or closure(*a))
+                got = _pair_generated_proper(tabs, n)
+            assert got == oracle_pair_generated_proper(tabs, n), (args, n, j)
+            if got is not None:
+                first = next(i for i, (a, b) in enumerate(
+                    itertools.combinations(range(n), 2))
+                    if len(oracle_closure(tabs, n, (a, b))) < n)
+                settled_before_witness += len(closed) < first + 1
+            for a in range(n):
+                assert (_cross_compatible_np(tabs, n, a)
+                        == oracle_cross_compatible(tabs, n, a)), (args, n, j, a)
+    assert settled_before_witness
 
 
 @given(small_algebras())
 @settings(max_examples=100, deadline=None)
 def test_automorphism_candidates_are_the_invariant_classes(alg):
     """Every injective choice of images with the generators' invariants is
-    tried, and no other."""
+    tried, and no other; the chain's own images give the identity without
+    propagation."""
     tabs, n = _tabs(alg), alg.n
     inv = reference_invariants(alg)
-    classes = [[y for y in range(n) if inv[y] == inv[g]]
-               for g in _generator_chain(tabs, n)]
+    chain = _generator_chain(tabs, n)
+    classes = [[y for y in range(n) if inv[y] == inv[g]] for g in chain]
     want = sum(len(set(imgs)) == len(imgs) for imgs in itertools.product(*classes))
     tried = []
     with pytest.MonkeyPatch.context() as m:
         m.setattr(checkers, "_propagate",
                   lambda *args: tried.append(args[3]) or _propagate(*args))
-        automorphisms(alg)
-    assert len(tried) == want
+        group = automorphisms(alg)
+    assert len(tried) == want - 1
+    assert tuple(chain) not in tried
+    assert tuple(range(n)) in group
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -16,7 +16,8 @@ from maltkit.census import CensusEngine, _minority_symbolic, minority_pair_proba
 from maltkit.closure import compute_closure
 from maltkit.factory import (FiniteAlgebra, build_dispatch, draw_values, mix,
                              realize, sample_mfamily)
-from maltkit.terms import parse_system, pattern_of
+from maltkit.terms import parse_system
+from oracles import pattern_of
 
 SYSTEMS_DIR = Path(__file__).resolve().parent.parent / "src" / "maltkit" / "systems"
 
@@ -57,7 +58,7 @@ def reference_realize(dispatch, mfamily) -> FiniteAlgebra:
         rules = dispatch.rules[sym]
         table = []
         for a in product(range(n), repeat=sig.arity(sym)):
-            entry, sigma = rules[pattern_of(a).labels]
+            entry, sigma = rules[pattern_of(a)]
             if entry == 0:
                 table.append(a[sigma[0] - 1])
             else:
@@ -90,7 +91,7 @@ def reference_minority_symbolic(engine, symbol):
         for args in product((0, 1), repeat=sig.arity(sym)):
             if len(set(args)) == 1:
                 continue
-            entry, sigma = engine.dispatch.rules[sym][pattern_of(args).labels]
+            entry, sigma = engine.dispatch.rules[sym][pattern_of(args)]
             k = None if entry == 0 else (
                 entry, lex_least(entries[entry], tuple(args[s - 1] for s in sigma)))
             if sym == symbol:

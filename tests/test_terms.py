@@ -1,14 +1,18 @@
 import math
+from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from maltkit.errors import ParseError
-from maltkit.terms import (Identity, LinearTerm, Pattern, Signature,
-                           SystemSpec, identification_minors, parse_system,
-                           pattern_of, render_system, render_term,
+from maltkit.factory import patterns_of_arity
+from maltkit.terms import (Identity, LinearTerm, Signature, SystemSpec,
+                           identification_minors, kernel_code, parse_system,
+                           render_system, render_term,
                            required_variable_count, substitute,
                            variable_names)
+from oracles import pattern_of
 
 
 def test_parse_simple():
@@ -118,12 +122,19 @@ def test_parse_render_round_trip(data):
 
 
 # ---------------------------------------------------------------------------
-# patterns
+# patterns: the first-occurrence labels of the oracles against the
+# equality-kernel code and the dispatch patterns
+
+
+def kernel(values):
+    return int(kernel_code(np.zeros(1, dtype=np.int64),
+                           [np.array([v]) for v in values])[0])
 
 
 def test_pattern_of_basic():
-    assert pattern_of((5, 7, 5)).labels == (0, 1, 0)
-    assert pattern_of(("a",)).labels == (0,)
+    assert pattern_of((5, 7, 5)) == (0, 1, 0)
+    assert pattern_of(("a",)) == (0,)
+    assert kernel((5, 7, 5)) == kernel((0, 1, 0)) == 0b010
 
 
 @given(st.lists(st.integers(0, 5), min_size=1, max_size=7))
@@ -131,14 +142,19 @@ def test_pattern_invariant_under_injective_relabeling(values):
     # relabel by an order-scrambling injection
     relabel = {v: (v * 37 + 11) % 101 for v in set(values)}
     assert len(set(relabel.values())) == len(relabel)
-    assert pattern_of(values) == pattern_of([relabel[v] for v in values])
+    relabeled = [relabel[v] for v in values]
+    assert pattern_of(values) == pattern_of(relabeled)
+    assert kernel(values) == kernel(relabeled) == kernel(pattern_of(values))
 
 
 def test_pattern_validation():
-    with pytest.raises(ValueError):
-        Pattern((1, 0))
-    with pytest.raises(ValueError):
-        Pattern((0, 2))
+    """The dispatch patterns of each arity are the first-occurrence label
+    tuples, each its own pattern, with distinct kernel codes."""
+    for d in range(1, 6):
+        pats = patterns_of_arity(d)
+        assert all(pattern_of(p) == p for p in pats)
+        assert set(pats) == {pattern_of(u) for u in product(range(d), repeat=d)}
+        assert len({kernel(p) for p in pats}) == len(pats)
 
 
 # ---------------------------------------------------------------------------
