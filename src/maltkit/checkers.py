@@ -69,15 +69,12 @@ def is_subuniverse(algebra: FiniteAlgebra, B) -> PropertyResult:
     return PropertyResult("subuniverse", False, bad)
 
 
-def _closure_np(tabs, n: int, seed, generating=None) -> np.ndarray:
-    """The subuniverse generated by seed, sorted.  Stops at A as soon as it
-    holds a pair marked in the n x n boolean matrix generating, if given."""
+def _closure_np(tabs, n: int, seed) -> np.ndarray:
+    """The subuniverse generated by seed, sorted."""
     member = np.zeros(n, dtype=bool)
     member[list(seed)] = True
     S = np.flatnonzero(member)
     while len(S) < n:
-        if generating is not None and generating[np.ix_(S, S)].any():
-            return np.arange(n)
         for tab, d in tabs:
             member[tab.reshape((n,) * d)[np.ix_(*([S] * d))]] = True
         new = np.flatnonzero(member)
@@ -109,9 +106,9 @@ def _pair_generated_proper(tabs, n: int):
     Pairs are settled by reachability: the one-step values f(u), u over
     {a, b}, lie in Sg(a, b), so if two of them form a pair known to
     generate A, {a, b} generates A too.  Only pairs still open get a
-    closure, which stops at a known generating pair.  A proper closure
-    never holds one, so the first proper pair is never settled and its
-    full closure is the witness, as when every pair is closed."""
+    closure.  A proper subalgebra holds no generating pair, so the first
+    proper pair is never settled and its closure is the witness, as when
+    every pair is closed."""
     if n < 2:
         return None
     S = _closure_np(tabs, n, (0, 1))
@@ -120,6 +117,11 @@ def _pair_generated_proper(tabs, n: int):
     a, b = np.triu_indices(n, 1)
     V = np.concatenate([a[:, None], b[:, None]]
                        + [tab[_pair_cells(n, d)] for tab, d in tabs], axis=1)
+    if V.shape[1] > n:
+        # a row holds at most n distinct values: keep each once, padded with a
+        held = np.zeros((len(V), n), dtype=bool)
+        held[np.arange(len(V))[:, None], V] = True
+        V = np.where(held, np.arange(n), a[:, None])
     I, J = np.triu_indices(V.shape[1], 1)
     generating = np.zeros((n, n), dtype=bool)
     done = np.zeros(len(a), dtype=bool)
@@ -134,7 +136,7 @@ def _pair_generated_proper(tabs, n: int):
         if not len(rest):
             return None
         p = rest[0]
-        S = _closure_np(tabs, n, (a[p], b[p]), generating)
+        S = _closure_np(tabs, n, (a[p], b[p]))
         if len(S) < n:
             return [int(x) for x in S]
 
@@ -182,37 +184,25 @@ def _subalgebras(tabs, n: int, k: int):
 # Automorphisms
 
 
-def _propagate(tabs, n: int, gens, imgs):
-    """Extend images of the (distinct) generators to a full map by evaluating
-    the term closure on both sides; returns the map array or None on
-    conflict.  Only a pruning device: survivors still get a full
-    homomorphism check."""
+def _extend(tabs, n: int, gens, imgs) -> np.ndarray:
+    """The map that sends the generators to imgs and each element first
+    reached as f(u), closing the generators in rounds, to f(phi(u)); -1
+    off the subuniverse they generate.  An automorphism with these images
+    is this map, so _is_automorphism decides."""
     phi = np.full(n, -1, dtype=np.int64)
     phi[gens] = imgs
-    D = np.unique(np.asarray(gens, dtype=np.int64))
-    while True:
-        srcs, ims = [D], [phi[D]]
+    S = np.flatnonzero(phi >= 0)
+    while len(S) < n:
         for tab, d in tabs:
             grid = tab.reshape((n,) * d)
-            srcs.append(grid[np.ix_(*([D] * d))].ravel())
-            ims.append(grid[np.ix_(*([phi[D]] * d))].ravel())
-        src = np.concatenate(srcs)
-        img = np.concatenate(ims)
-        order = np.argsort(src, kind="stable")
-        s2, i2 = src[order], img[order]
-        dup = s2[1:] == s2[:-1]
-        if np.any(dup & (i2[1:] != i2[:-1])):
-            return None
-        first = np.concatenate(([True], ~dup))
-        su, iu = s2[first], i2[first]
-        known = phi[su] != -1
-        if np.any(phi[su][known] != iu[known]):
-            return None
-        phi[su] = iu
-        newD = np.unique(su)
-        if len(newD) == len(D):
-            return phi
-        D = newD
+            src = grid[np.ix_(*([S] * d))].ravel()
+            new = phi[src] < 0
+            phi[src[new]] = grid[np.ix_(*([phi[S]] * d))].ravel()[new]
+        reached = np.flatnonzero(phi >= 0)
+        if len(reached) == len(S):
+            break
+        S = reached
+    return phi
 
 
 def _is_automorphism(tabs, n: int, phi: np.ndarray) -> bool:
@@ -268,8 +258,8 @@ def _automorphism_search(tabs, n: int):
             # a map is fixed by its values on a generating set
             yield tuple(range(n))
             continue
-        phi = _propagate(tabs, n, gens, imgs)
-        if phi is not None and _is_automorphism(tabs, n, phi):
+        phi = _extend(tabs, n, gens, imgs)
+        if _is_automorphism(tabs, n, phi):
             yield tuple(int(x) for x in phi)
 
 

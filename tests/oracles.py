@@ -2,13 +2,13 @@
 checker and census tests compare against.
 
 Each oracle is an earlier, slower version of a decision that now lives
-once in maltkit.checkers: a closure of every pair in turn, without the
-early stop at known generating pairs or pairs settled by reachability,
-the automorphism search over every injective image of the generator
-chain, the product loop over B^d for subuniverses, the cross test that
-evaluates the pinned-on-T side first, the minority-pair search over
-single cells, and Szendrei's criterion built from these oracles, with
-crosses checked as generic relations.
+once in maltkit.checkers: a closure of every pair in turn, without pairs
+settled by reachability, the automorphism search over every injective
+image of the generator chain, each extended by propagation that rejects
+conflicting images, the product loop over B^d for subuniverses, the
+cross test that evaluates the pinned-on-T side first, the minority-pair
+search over single cells, and Szendrei's criterion built from these
+oracles, with crosses checked as generic relations.
 The class-info oracles are the analysis layer's earlier per-term version:
 essential sets and (symbol, pattern) keys read off each LinearTerm, keys
 joined in a dict union-find, and orbits by the m! permutation sweep.
@@ -21,8 +21,8 @@ import numpy as np
 from hypothesis import strategies as st
 
 from maltkit.analysis import ClassInfo
-from maltkit.checkers import (PropertyResult, _is_automorphism, _propagate,
-                              _tabs, cross_relation, is_compatible_relation)
+from maltkit.checkers import (PropertyResult, _is_automorphism, _tabs,
+                              cross_relation, is_compatible_relation)
 from maltkit.errors import BudgetError, DomainError
 from maltkit.factory import FiniteAlgebra
 from maltkit.terms import (Identity, LinearTerm, Signature, SystemSpec,
@@ -194,6 +194,39 @@ def oracle_generator_chain(tabs, n):
     return gens
 
 
+def oracle_propagate(tabs, n, gens, imgs):
+    """Extend images of the (distinct) generators to a full map by evaluating
+    the term closure on both sides; returns the map array or None on
+    conflict.  Only a pruning device: survivors still get a full
+    homomorphism check."""
+    phi = np.full(n, -1, dtype=np.int64)
+    phi[gens] = imgs
+    D = np.unique(np.asarray(gens, dtype=np.int64))
+    while True:
+        srcs, ims = [D], [phi[D]]
+        for tab, d in tabs:
+            grid = tab.reshape((n,) * d)
+            srcs.append(grid[np.ix_(*([D] * d))].ravel())
+            ims.append(grid[np.ix_(*([phi[D]] * d))].ravel())
+        src = np.concatenate(srcs)
+        img = np.concatenate(ims)
+        order = np.argsort(src, kind="stable")
+        s2, i2 = src[order], img[order]
+        dup = s2[1:] == s2[:-1]
+        if np.any(dup & (i2[1:] != i2[:-1])):
+            return None
+        first = np.concatenate(([True], ~dup))
+        su, iu = s2[first], i2[first]
+        known = phi[su] != -1
+        if np.any(phi[su][known] != iu[known]):
+            return None
+        phi[su] = iu
+        newD = np.unique(su)
+        if len(newD) == len(D):
+            return phi
+        D = newD
+
+
 def oracle_automorphism_search(tabs, n, find_all):
     gens = oracle_generator_chain(tabs, n)
     total = 1
@@ -205,7 +238,7 @@ def oracle_automorphism_search(tabs, n, find_all):
     found = []
     identity = tuple(gens)
     for imgs in itertools.permutations(range(n), len(gens)):
-        phi = _propagate(tabs, n, gens, imgs)
+        phi = oracle_propagate(tabs, n, gens, imgs)
         if phi is None or not _is_automorphism(tabs, n, phi):
             continue
         perm = tuple(int(x) for x in phi)

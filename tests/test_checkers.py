@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ from hypothesis import given, settings
 from maltkit import checkers
 from maltkit.analysis import canonical_transversal
 from maltkit.checkers import (_any_cross_np, _cross_compatible_np,
-                              _generator_chain, _minority_values,
-                              _nontrivial_automorphism,
-                              _pair_generated_proper, _propagate, _tabs,
+                              _extend, _generator_chain, _is_automorphism,
+                              _minority_values, _nontrivial_automorphism,
+                              _pair_generated_proper, _tabs,
                               automorphisms, cross_compatible, cross_relation,
                               generated_subuniverse,
                               has_minority_two_subalgebra,
@@ -118,8 +119,9 @@ def test_subalgebras_of_size_witnesses():
 
 
 # ---------------------------------------------------------------------------
-# against the oracles (tests/oracles.py): pair closures without the early
-# stop and automorphism candidates without the invariant filter
+# against the oracles (tests/oracles.py): every pair closed, without
+# reachability, and automorphism candidates without the invariant filter,
+# extended by propagation
 
 
 def reference_invariants(alg):
@@ -180,12 +182,51 @@ def test_checkers_match_oracles_on_census_samples():
     assert settled_before_witness
 
 
+def test_pair_test_memory_is_bounded_at_high_arity():
+    """An arity-12 row holds 4096 one-step values but at most n = 3
+    distinct ones, so the column pairs are taken over 3 columns, not over
+    8 million."""
+    tabs = _tabs(random_algebra(3, (12,), np.random.default_rng(5)))
+    tracemalloc.start()
+    try:
+        got = _pair_generated_proper(tabs, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == oracle_pair_generated_proper(tabs, 3)
+    assert peak < 32 << 20, peak
+
+
+def closed_pair_algebra(pair, d, rng):
+    """A random idempotent arity-d algebra at n = 3 in which the cells
+    over pair take values in pair, so pair is a subuniverse."""
+    cells = np.array(random_algebra(3, (d,), rng).tables[0])
+    over = np.array(list(itertools.product(pair, repeat=d)))
+    flat = over @ 3 ** np.arange(d - 1, -1, -1)
+    cells[flat] = np.where(rng.integers(0, 2, len(flat)), pair[0], pair[1])
+    cells[flat[[0, -1]]] = pair
+    return FiniteAlgebra(3, Signature((("f", d),)), (tuple(int(x) for x in cells),))
+
+
+def test_pair_test_matches_oracle_at_arity_8():
+    """With more one-step values than elements, each row keeps its values
+    once; {0, 1} generates A, so the witness {1, 2} comes after the
+    reachability pass."""
+    rng = np.random.default_rng(8)
+    algs = [random_algebra(3, (8,), rng) for _ in range(3)]
+    algs.append(closed_pair_algebra((1, 2), 8, rng))
+    for alg in algs:
+        tabs = _tabs(alg)
+        assert _pair_generated_proper(tabs, 3) == oracle_pair_generated_proper(tabs, 3)
+    assert _pair_generated_proper(_tabs(algs[-1]), 3) == [1, 2]
+
+
 @given(small_algebras())
 @settings(max_examples=100, deadline=None)
 def test_automorphism_candidates_are_the_invariant_classes(alg):
     """Every injective choice of images with the generators' invariants is
     tried, and no other; the chain's own images give the identity without
-    propagation."""
+    extension."""
     tabs, n = _tabs(alg), alg.n
     inv = reference_invariants(alg)
     chain = _generator_chain(tabs, n)
@@ -193,15 +234,25 @@ def test_automorphism_candidates_are_the_invariant_classes(alg):
     want = sum(len(set(imgs)) == len(imgs) for imgs in itertools.product(*classes))
     tried = []
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(checkers, "_propagate",
-                  lambda *args: tried.append(args[3]) or _propagate(*args))
+        m.setattr(checkers, "_extend",
+                  lambda *args: tried.append(args[3]) or _extend(*args))
         group = automorphisms(alg)
     assert len(tried) == want - 1
     assert tuple(chain) not in tried
     assert tuple(range(n)) in group
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+def test_extension_stops_short_of_a_non_generating_set():
+    """Under a first projection {0} is a subuniverse: the extension of
+    0 -> 1 stops after one round with -1 elsewhere, and is rejected."""
+    table = tuple(x for x, y in itertools.product(range(4), repeat=2))
+    tabs = _tabs(FiniteAlgebra(4, Signature((("f", 2),)), (table,)))
+    phi = _extend(tabs, 4, [0], (1,))
+    assert phi.tolist() == [1, -1, -1, -1]
+    assert not _is_automorphism(tabs, 4, phi)
+
+
+@pytest.mark.parametrize("n", [*range(1, 9), 12, 16])
 def test_affine_automorphism_group(n):
     want = {tuple((a * x + b) % n for x in range(n))
             for a in range(n) if math.gcd(a, n) == 1 for b in range(n)}
@@ -228,7 +279,7 @@ def test_automorphism_budget_checked_before_search(monkeypatch):
     def no_candidates(*args):
         raise AssertionError("a candidate was tried before the budget check")
 
-    monkeypatch.setattr(checkers, "_propagate", no_candidates)
+    monkeypatch.setattr(checkers, "_extend", no_candidates)
     with pytest.raises(BudgetError, match="3628800 candidate"):
         automorphisms(alg)
     with pytest.raises(BudgetError):

@@ -7,8 +7,12 @@ import numpy as np
 import pytest
 
 from maltkit import census, factory
+from maltkit.census import CensusEngine
+from maltkit.checkers import (_cross_compatible_np, _nontrivial_automorphism,
+                              _pair_generated_proper)
 from maltkit.cli import main
 from maltkit.errors import BudgetError
+from maltkit.factory import draw_values, mix
 from maltkit.terms import parse_system
 
 
@@ -327,6 +331,31 @@ def test_pinned_analysis_digests(system, digest, capsys):
     assert main(["analyze", str(SYSTEMS_DIR / f"{system}.mlt"), "--json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# SHA-256 of the checker witnesses on 10 census samples of every fixture
+# but cube-3 at n = 3, 5 and 8, recorded before the automorphism search
+# extended generator images by plain closure: the smallest proper pair
+# closure, the first nontrivial automorphism and (ok, T) of the cross test
+# at every a (30 automorphisms and 566 proper subalgebras in 1530 samples)
+PINNED_WITNESSES = "2f724168f36b2fc41790ad370b85a87069ea4b9ea1587a19aafddef8c34d31c2"
+
+
+def test_pinned_witness_digest():
+    h = hashlib.sha256()
+    for path in sorted(SYSTEMS_DIR.glob("*.mlt")):
+        if path.stem == "cube-3":
+            continue
+        engine = CensusEngine(parse_system(path.read_text(), path.stem))
+        for n in (3, 5, 8):
+            ctx = engine.context(n)
+            for j in range(10):
+                tabs = ctx.realize_np(draw_values(mix(4242, j), n, ctx.total_draws))
+                h.update(repr((path.stem, n, j, _pair_generated_proper(tabs, n),
+                               _nontrivial_automorphism(tabs, n),
+                               [_cross_compatible_np(tabs, n, a) for a in range(n)])
+                              ).encode())
+    assert h.hexdigest() == PINNED_WITNESSES
 
 
 @pytest.mark.parametrize("command", [
