@@ -229,9 +229,9 @@ def is_minimal(closure: ClosurePartition, t: LinearTerm) -> bool:
     return True
 
 
-def minimal_terms(closure: ClosurePartition) -> list[LinearTerm]:
-    """Minimal terms among the transversal representatives, one per orbit."""
-    trans = canonical_transversal(closure)
+def minimal_terms(closure: ClosurePartition, trans: Transversal) -> list[LinearTerm]:
+    """Minimal terms among the representatives of the closure's transversal,
+    one per orbit."""
     return [e.rep for e in trans.entries[1:] if is_minimal(closure, e.rep)]
 
 

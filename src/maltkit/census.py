@@ -417,7 +417,7 @@ PROPERTIES = {p.name: p for p in (
              family=_subalg_gt1_family, prewarm=("realizer", "pair_arrays")),
     Property("automorphism", 2, _found(checkers._nontrivial_automorphism),
              _rigid_theory, prewarm=("realizer",)),
-    Property("cross", 2, _found(checkers._any_cross_np), _rigid_theory,
+    Property("cross", 2, _found(checkers._any_cross), _rigid_theory,
              prewarm=("realizer",)),
     Property("idemprimal", 3, _idemprimal_table,
              lambda engine, _, n: ("asymptotic", idemprimality_verdict(

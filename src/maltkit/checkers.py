@@ -188,21 +188,35 @@ def _extend(tabs, n: int, gens, imgs) -> np.ndarray:
     """The map that sends the generators to imgs and each element first
     reached as f(u), closing the generators in rounds, to f(phi(u)); -1
     off the subuniverse they generate.  An automorphism with these images
-    is this map, so _is_automorphism decides."""
+    is this map, so _is_automorphism decides.  A round reads only the
+    cells with an argument first reached in the round before, since the
+    other cells were read already."""
     phi = np.full(n, -1, dtype=np.int64)
     phi[gens] = imgs
-    S = np.flatnonzero(phi >= 0)
-    while len(S) < n:
+    known = phi >= 0
+    old, fresh = np.zeros(0, dtype=np.int64), np.flatnonzero(known)
+    S = fresh
+    while len(fresh) and len(S) < n:
         for tab, d in tabs:
-            grid = tab.reshape((n,) * d)
-            src = grid[np.ix_(*([S] * d))].ravel()
-            new = phi[src] < 0
-            phi[src[new]] = grid[np.ix_(*([phi[S]] * d))].ravel()[new]
-        reached = np.flatnonzero(phi >= 0)
-        if len(reached) == len(S):
-            break
-        S = reached
+            for j in range(d):
+                # the cells whose first argument outside old is at coordinate j
+                axes = [old] * j + [fresh] + [S] * (d - 1 - j)
+                src = tab[_block(axes, n)]
+                new = phi[src] < 0
+                if new.any():
+                    phi[src[new]] = tab[_block([phi[x] for x in axes], n)[new]]
+        reached = phi >= 0
+        fresh = np.flatnonzero(reached & ~known)
+        known, old, S = reached, S, np.flatnonzero(reached)
     return phi
+
+
+def _block(axes, n: int) -> np.ndarray:
+    """The flat indices of the cells in axes[0] x axes[1] x ..., row-major."""
+    idx = axes[0]
+    for x in axes[1:]:
+        idx = (idx * n)[..., None] + x
+    return idx.ravel()
 
 
 def _is_automorphism(tabs, n: int, phi: np.ndarray) -> bool:
@@ -284,39 +298,73 @@ def has_nontrivial_automorphism(algebra: FiniteAlgebra) -> PropertyResult:
 # Crosses
 
 
-def _cross_compatible_np(tabs, n: int, a: int):
-    """Decoupled test: the cross at a is a subuniverse of the square iff
-    for every operation f of arity d and every T subset of coordinates,
-    all u with u|_T = a have f(u) = a, or all v with v|_complement = a
-    have f(v) = a.  Sound and complete because a tuple of cross pairs
-    splits into a left tuple pinned to a on some T and a right tuple
-    pinned on the complement."""
+def _cross_failures(tabs, n: int, elements) -> list:
+    """Per element a of elements, the first coordinate set T, by operation
+    and then T in bit order, on which the cross at a fails, or None if the
+    cross at a is compatible.
+
+    Decoupled test: the cross at a is a subuniverse of the square iff for
+    every operation f of arity d and every T subset of coordinates, all u
+    with u|_T = a have f(u) = a, or all v with v|_complement = a have
+    f(v) = a.  Sound and complete because a tuple of cross pairs splits
+    into a left tuple pinned to a on some T and a right tuple pinned on
+    the complement.  The elements still alive are tested together per
+    (operation, T): the smaller side for all of them, the larger side for
+    those the smaller side fails; an element failing both drops out."""
+    out = [None] * len(elements)
+    alive = np.asarray(elements, dtype=np.int64)
+    pos = np.arange(len(alive))
     for tab, d in tabs:
         grid = tab.reshape((n,) * d)
-        for bits in range(1 << d):
-            T = [j for j in range(d) if bits >> j & 1]
-            comp = [j for j in range(d) if not bits >> j & 1]
-            on_T = tuple(a if j in T else slice(None) for j in range(d))
-            on_comp = tuple(a if j in comp else slice(None) for j in range(d))
-            # the side pinned on more coordinates is the smaller slice
-            sides = (on_T, on_comp) if len(T) >= len(comp) else (on_comp, on_T)
-            if not any(np.all(grid[idx] == a) for idx in sides):
-                return False, tuple(T)
-    return True, None
+        for T, small, large in _cross_sides(d):
+            if not len(alive):
+                return out
+            ok = _side_holds(grid, small, alive)
+            miss = np.flatnonzero(~ok)
+            if not len(miss):
+                continue
+            # the side pinned on no coordinate is the whole grid, which holds
+            # for a only if its diagonal cell, the other side, is a
+            ok[miss] = _side_holds(grid, large, alive[miss]) if large else False
+            for p in pos[~ok].tolist():
+                out[p] = T
+            alive, pos = alive[ok], pos[ok]
+    return out
+
+
+@lru_cache(maxsize=None)
+def _cross_sides(d: int) -> tuple:
+    """(T, smaller side, larger side) for T in bit order.  A side is the
+    axes pinned to a; the one pinned on more of them (T on a tie) is the
+    smaller slice.  T and its complement make the same test, and the one
+    without coordinate d - 1 comes first, so only those are listed."""
+    out = []
+    for bits in range(1 << (d - 1)):
+        T = tuple(j for j in range(d) if bits >> j & 1)
+        comp = tuple(j for j in range(d) if not bits >> j & 1)
+        out.append((T, T, comp) if len(T) >= len(comp) else (T, comp, T))
+    return tuple(out)
+
+
+def _side_holds(grid: np.ndarray, pinned, a: np.ndarray) -> np.ndarray:
+    """Per element of a, whether every cell pinned to it on the axes in
+    pinned, at least one, takes the value it."""
+    k = len(pinned)
+    cells = np.moveaxis(grid, pinned, range(k))[(a,) * k]
+    return (cells.reshape(len(a), -1) == a[:, None]).all(axis=1)
 
 
 def cross_compatible(algebra: FiniteAlgebra, a: int) -> PropertyResult:
-    ok, bad_T = _cross_compatible_np(_tabs(algebra), algebra.n, a)
-    if ok:
+    bad_T, = _cross_failures(_tabs(algebra), algebra.n, [a])
+    if bad_T is None:
         return PropertyResult("cross-compatible", True, a)
     return PropertyResult("cross-compatible", False, bad_T)
 
 
-def _any_cross_np(tabs, n: int):
-    for a in range(n):
-        if _cross_compatible_np(tabs, n, a)[0]:
-            return a
-    return None
+def _any_cross(tabs, n: int):
+    """The least element whose cross is compatible, or None."""
+    return next((a for a, bad_T in enumerate(_cross_failures(tabs, n, range(n)))
+                 if bad_T is None), None)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +378,7 @@ def _idemprimal_obstruction(tabs, n: int):
     (label, witness), or None."""
     for label, search in (("proper-subalgebra", _pair_generated_proper),
                           ("automorphism", _nontrivial_automorphism),
-                          ("cross", _any_cross_np)):
+                          ("cross", _any_cross)):
         witness = search(tabs, n)
         if witness is not None:
             return label, witness

@@ -117,7 +117,7 @@ def _analysis_payload(spec, max_vars: int) -> dict:
             "q": e.q,
         })
     minimal = []
-    for t in minimal_terms(closure):
+    for t in minimal_terms(closure, trans):
         rep = classify_minimal(closure, t)
         minimal.append({"term": _render(spec, t), "kind": rep.kind})
     table = params_mod.asymptotic_table(pars)

@@ -104,7 +104,7 @@ def test_criterion_02_parameter_goldens():
     assert p3 == [6, 2, 1]
     for k in range(2, 6):
         clo = compute_closure(builtin_system("hagemann-mitschke", k))
-        assert len(minimal_terms(clo)) == 2 * k - 3, k
+        assert len(minimal_terms(clo, canonical_transversal(clo))) == 2 * k - 3, k
     for k in (4, 5):
         pars = parameters(canonical_transversal(
             compute_closure(builtin_system("near-unanimity", k))))

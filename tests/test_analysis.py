@@ -185,14 +185,14 @@ def test_essential_variables_lookup(cmaltsev_closure):
 
 
 def test_maltsev_minimal_terms(maltsev_closure):
-    terms = minimal_terms(maltsev_closure)
+    terms = minimal_terms(maltsev_closure, canonical_transversal(maltsev_closure))
     assert [render(maltsev_closure, t) for t in terms] == ["f(x,y,x)"]
     assert classify_minimal(maltsev_closure, terms[0]).kind == "binary-nontrivial"
 
 
 def test_minority_minimal_terms():
     clo = compute_closure(builtin_system("minority1"))
-    terms = minimal_terms(clo)
+    terms = minimal_terms(clo, canonical_transversal(clo))
     assert len(terms) == 1
     assert classify_minimal(clo, terms[0]).kind == "minority"
 
@@ -200,7 +200,7 @@ def test_minority_minimal_terms():
 def test_hagemann_mitschke_minimal_term_count():
     for k in range(2, 6):
         clo = compute_closure(builtin_system("hagemann-mitschke", k))
-        assert len(minimal_terms(clo)) == 2 * k - 3, k
+        assert len(minimal_terms(clo, canonical_transversal(clo))) == 2 * k - 3, k
 
 
 def test_classification_kinds():
@@ -211,7 +211,7 @@ def test_classification_kinds():
     }
     for name, kind in expected.items():
         clo = compute_closure(builtin_system(name))
-        terms = minimal_terms(clo)
+        terms = minimal_terms(clo, canonical_transversal(clo))
         assert len(terms) == 1
         assert classify_minimal(clo, terms[0]).kind == kind, name
 
@@ -223,7 +223,7 @@ def test_semiprojection_classification():
         "signature s/3\n"
         "identity s(x,x,y) = x\nidentity s(x,y,x) = x\nidentity s(x,y,y) = x\n")
     clo = compute_closure(spec)
-    terms = minimal_terms(clo)
+    terms = minimal_terms(clo, canonical_transversal(clo))
     assert len(terms) == 1
     rep = classify_minimal(clo, terms[0])
     assert rep.kind == "semiprojection"

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 
 from maltkit import checkers
 from maltkit.analysis import canonical_transversal
-from maltkit.checkers import (_any_cross_np, _cross_compatible_np,
-                              _extend, _generator_chain, _is_automorphism,
+from maltkit.checkers import (_any_cross, _cross_failures, _extend,
+                              _generator_chain, _is_automorphism,
                               _minority_values, _nontrivial_automorphism,
                               _pair_generated_proper, _tabs,
                               automorphisms, cross_compatible, cross_relation,
@@ -25,13 +25,19 @@ from maltkit.factory import (FiniteAlgebra, build_dispatch, draw_values, mix,
                              realize, sample_mfamily)
 from maltkit.library import builtin_system
 from maltkit.terms import Signature
-from oracles import (affine_algebra, cross_only_algebra, invariant_algebra,
+from oracles import (absorbing_algebra, affine_algebra, cross_only_algebra,
+                     invariant_algebra,
                      oracle_automorphism_search, oracle_closure,
                      oracle_cross_compatible, oracle_generator_chain,
                      oracle_is_idemprimal,
                      oracle_nontrivial_automorphism,
                      oracle_pair_generated_proper, random_algebra,
                      small_algebras)
+
+
+def cross_results(tabs, n):
+    """(ok, T) of the cross test at every a, from one pass over all a."""
+    return [(T is None, T) for T in _cross_failures(tabs, n, range(n))]
 
 
 def sampled(name, n, seed, *args):
@@ -148,8 +154,8 @@ def test_checkers_match_oracles(alg):
     assert _generator_chain(tabs, n) == oracle_generator_chain(tabs, n)
     assert _nontrivial_automorphism(tabs, n) == oracle_nontrivial_automorphism(tabs, n)
     assert automorphisms(alg) == sorted(oracle_automorphism_search(tabs, n, True))
-    for a in range(n):
-        assert _cross_compatible_np(tabs, n, a) == oracle_cross_compatible(tabs, n, a)
+    for a, got in enumerate(cross_results(tabs, n)):
+        assert got == oracle_cross_compatible(tabs, n, a)
 
 
 def test_checkers_match_oracles_on_census_samples():
@@ -176,9 +182,8 @@ def test_checkers_match_oracles_on_census_samples():
                     itertools.combinations(range(n), 2))
                     if len(oracle_closure(tabs, n, (a, b))) < n)
                 settled_before_witness += len(closed) < first + 1
-            for a in range(n):
-                assert (_cross_compatible_np(tabs, n, a)
-                        == oracle_cross_compatible(tabs, n, a)), (args, n, j, a)
+            for a, got in enumerate(cross_results(tabs, n)):
+                assert got == oracle_cross_compatible(tabs, n, a), (args, n, j, a)
     assert settled_before_witness
 
 
@@ -252,13 +257,16 @@ def test_extension_stops_short_of_a_non_generating_set():
     assert not _is_automorphism(tabs, 4, phi)
 
 
-@pytest.mark.parametrize("n", [*range(1, 9), 12, 16])
+@pytest.mark.parametrize("n", [*range(1, 9), 12, 16, 32])
 def test_affine_automorphism_group(n):
+    """Also against the oracle's propagation: the extension reads only the
+    cells with an argument reached in the round before."""
     want = {tuple((a * x + b) % n for x in range(n))
             for a in range(n) if math.gcd(a, n) == 1 for b in range(n)}
     got = automorphisms(affine_algebra(n))
     assert len(want) == n * sum(math.gcd(a, n) == 1 for a in range(n))
     assert set(got) == want and len(got) == len(want)
+    assert got == sorted(oracle_automorphism_search(_tabs(affine_algebra(n)), n, True))
     assert has_nontrivial_automorphism(affine_algebra(n)).holds == (n > 1)
 
 
@@ -375,9 +383,65 @@ def test_majority_cross_always_compatible():
 
 def test_any_cross(maltsev_spec):
     alg = sampled("maltsev", 5, mix(17, 0))
-    a = _any_cross_np(_tabs(alg), alg.n)
+    a = _any_cross(_tabs(alg), alg.n)
     if a is not None:
         assert is_compatible_relation(alg, cross_relation(alg.n, a)).holds
+
+
+@given(small_algebras())
+@settings(max_examples=200, deadline=None)
+def test_cross_pass_records_each_first_failing_T(alg):
+    """The pass over all elements records, per element, the T at which the
+    oracle's test of that element alone first fails; the elements that
+    drop out earlier do not change it, nor does their order."""
+    tabs, n = _tabs(alg), alg.n
+    want = [oracle_cross_compatible(tabs, n, a)[1] for a in range(n)]
+    assert _cross_failures(tabs, n, range(n)) == want
+    assert _cross_failures(tabs, n, range(n - 1, -1, -1)) == want[::-1]
+    for a in range(n):
+        assert _cross_failures(tabs, n, [a]) == [want[a]]
+        assert cross_compatible(alg, a).witness == (a if want[a] is None else want[a])
+
+
+def test_cross_pass_on_non_idempotent_tables():
+    """Off idempotent tables the diagonal can fail, so the side pinned on
+    no coordinate, the whole grid, is reached; a constant table makes the
+    cross at its value compatible and fails every other element at T = ()."""
+    constant = (np.full(9, 1, dtype=np.int64), 2)
+    assert _cross_failures([constant], 3, range(3)) == [(), None, ()]
+    rng = np.random.default_rng(19)
+    compatible = 0
+    for trial in range(300):
+        n = int(rng.integers(1, 5))
+        tabs = []
+        for d in rng.integers(1, 4, size=int(rng.integers(1, 3))).tolist():
+            kind = trial % 3
+            if kind == 0:
+                tab = np.full(n ** d, rng.integers(n))
+            else:
+                # kind 2 keeps two values, so some diagonals hold
+                tab = rng.integers(n if kind == 1 else min(n, 2), size=n ** d)
+            tabs.append((tab.astype(np.int64), d))
+        got = _cross_failures(tabs, n, range(n))
+        assert got == [oracle_cross_compatible(tabs, n, a)[1] for a in range(n)]
+        compatible += got.count(None)
+    assert compatible
+
+
+def test_any_cross_is_the_least_compatible_element():
+    """n - 1 absorbs from the left, so its cross is compatible; when a
+    smaller element's cross is too, that one is returned."""
+    rng = np.random.default_rng(23)
+    below = 0
+    for trial in range(200):
+        n = int(rng.integers(2, 6))
+        arities = [int(d) for d in rng.integers(1, 3, size=int(rng.integers(1, 3)))]
+        alg = absorbing_algebra(n, arities, n - 1, rng)
+        tabs = _tabs(alg)
+        least = next(a for a in range(n) if oracle_cross_compatible(tabs, n, a)[0])
+        assert _any_cross(tabs, n) == least
+        below += least < n - 1
+    assert below
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +477,7 @@ def test_idemprimal_consistency():
         res = is_idemprimal(alg)
         expect = (not has_proper_subalgebra_size_gt1(alg).holds
                   and not has_nontrivial_automorphism(alg).holds
-                  and _any_cross_np(_tabs(alg), alg.n) is None)
+                  and _any_cross(_tabs(alg), alg.n) is None)
         assert res.holds == expect
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from maltkit import census, factory
 from maltkit.census import CensusEngine
-from maltkit.checkers import (_cross_compatible_np, _nontrivial_automorphism,
+from maltkit.checkers import (_cross_failures, _nontrivial_automorphism,
                               _pair_generated_proper)
 from maltkit.cli import main
 from maltkit.errors import BudgetError
@@ -353,7 +353,8 @@ def test_pinned_witness_digest():
                 tabs = ctx.realize_np(draw_values(mix(4242, j), n, ctx.total_draws))
                 h.update(repr((path.stem, n, j, _pair_generated_proper(tabs, n),
                                _nontrivial_automorphism(tabs, n),
-                               [_cross_compatible_np(tabs, n, a) for a in range(n)])
+                               [(T is None, T)
+                                for T in _cross_failures(tabs, n, range(n))])
                               ).encode())
     assert h.hexdigest() == PINNED_WITNESSES
 
