@@ -1,16 +1,28 @@
 #!/usr/bin/env python3
-"""Time the per-sample checkers of the census on a fixed matrix of systems
-and sizes, and record the medians in BENCH_checkers.json at the repository
-root.
+"""Time the per-sample checkers and census evaluators on a fixed matrix of
+systems and sizes, and record the medians in BENCH_checkers.json at the
+repository root.
 
-Each case realizes 30 seeded census samples once.  Each checker, the
-census registry's table evaluator over its checker internal, is timed on
-every sample as the best of REPEATS calls, and the median over the samples
-is recorded in ms.  The file keeps one entry per label, so the same script
-run against another tree's package sits beside this one:
+Each case draws 30 seeded census samples and realizes their tables once.
+Every row is timed on every sample as the best of REPEATS calls, and the
+median over the samples is recorded in ms:
+
+- subalgGT1, automorphism, cross: the census registry's table evaluator
+  over its checker internal, on the realized tables;
+- census.realize_np: realizing one sample's tables from its draws;
+- census.subalg2, census.subalg3, census.cross: what a census pays for
+  the property on a sample whose tables no property has realized yet (a
+  fresh sample evaluator on the draws).
+
+The file keeps one entry per label.  --label times the maltkit package
+this interpreter imports.  --tree LABEL=SRC, given once per tree, times
+the package under each SRC directory in subprocesses, alternating the
+trees case by case for ROUNDS rounds (the first tree leads in even rounds)
+and keeping each row's median over the rounds, so that both trees meet
+the same slow and fast phases of a shared machine:
 
     PYTHONPATH=src python3 scripts/bench_checkers.py --label change
-    PYTHONPATH=../parent/src python3 scripts/bench_checkers.py --label parent
+    python3 scripts/bench_checkers.py --tree parent=../parent/src --tree change=src
 """
 
 import argparse
@@ -18,22 +30,20 @@ import json
 import os
 import platform
 import statistics
+import subprocess
+import sys
 import time
 from pathlib import Path
-
-import numpy as np
-
-from maltkit.census import PROPERTIES, CensusEngine
-from maltkit.factory import draw_values, mix
-from maltkit.library import builtin_system
 
 OUT = Path(__file__).resolve().parent.parent / "BENCH_checkers.json"
 CASES = ((("hagemann-mitschke", 3), 16), (("near-unanimity", 5), 14),
          (("maltsev",), 64), (("majority",), 32), (("day", 2), 16))
 CHECKERS = ("subalgGT1", "automorphism", "cross")
+CENSUS = ("subalg2", "subalg3", "cross")
 SAMPLES = 30
 SEED = 901
 REPEATS = 5
+ROUNDS = 5
 
 
 def case_name(args, n) -> str:
@@ -41,22 +51,59 @@ def case_name(args, n) -> str:
 
 
 def time_case(args, n) -> dict:
+    # imported here: with --tree only the subprocesses import maltkit, each
+    # from its own tree
+    from maltkit.census import PROPERTIES, CensusEngine, _SampleEval
+    from maltkit.factory import draw_values, mix
+    from maltkit.library import builtin_system
+
     ctx = CensusEngine(builtin_system(*args)).context(n)
-    samples = [ctx.realize_np(draw_values(mix(SEED, j), n, ctx.total_draws))
-               for j in range(SAMPLES)]
-    out = {}
-    for name in CHECKERS:
-        table = PROPERTIES[name].table
+    ctx.pair_arrays()
+    ctx.triple_arrays()
+    flats = [draw_values(mix(SEED, j), n, ctx.total_draws) for j in range(SAMPLES)]
+    samples = [ctx.realize_np(flat) for flat in flats]
+
+    def median_ms(call, inputs):
         per_sample = []
-        for tabs in samples:
+        for x in inputs:
             best = float("inf")
             for _ in range(REPEATS):
                 t = time.perf_counter()
-                table(tabs, n, None)
+                call(x)
                 best = min(best, time.perf_counter() - t)
             per_sample.append(best)
-        out[name] = round(1e3 * statistics.median(per_sample), 4)
+        return round(1e3 * statistics.median(per_sample), 4)
+
+    out = {name: median_ms(lambda tabs: PROPERTIES[name].table(tabs, n, None), samples)
+           for name in CHECKERS}
+    out["census.realize_np"] = median_ms(ctx.realize_np, flats)
+    for name in CENSUS:
+        out["census." + name] = median_ms(
+            lambda flat: _SampleEval(ctx, flat, {}).evaluate(name), flats)
     return out
+
+
+def time_trees(trees: dict, cases) -> dict:
+    """{label: {case: {row: median ms over the rounds}}}, each case timed
+    in one subprocess per tree and round, the trees alternating."""
+    runs = {label: {} for label in trees}
+    for i, (system, n) in enumerate(cases):
+        rounds = {label: [] for label in trees}
+        for r in range(ROUNDS):
+            order = list(trees.items())
+            for label, src in order if r % 2 == 0 else order[::-1]:
+                env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
+                proc = subprocess.run([sys.executable, __file__, "--case", str(i)],
+                                      env=env, capture_output=True, text=True,
+                                      check=True)
+                rounds[label].append(json.loads(proc.stdout))
+        for label, got in rounds.items():
+            runs[label][case_name(system, n)] = {
+                row: round(statistics.median(g[row] for g in got), 4)
+                for row in got[0]}
+            print(label, case_name(system, n), runs[label][case_name(system, n)],
+                  flush=True)
+    return runs
 
 
 def cpu_model() -> str:
@@ -70,28 +117,56 @@ def cpu_model() -> str:
     return platform.processor()
 
 
+def environment() -> dict:
+    import numpy as np
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "nproc": os.cpu_count(), "cpu": cpu_model()}
+
+
+def tree(text: str) -> tuple[str, str]:
+    label, eq, src = text.partition("=")
+    if not eq or not label or not src:
+        raise argparse.ArgumentTypeError(f"expected LABEL=SRC, got {text!r}")
+    return label, src
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--label", required=True,
-                    help="key of this run in the JSON, e.g. parent or change")
+    mode = ap.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--label",
+                      help="time the imported package under this key, e.g. change")
+    mode.add_argument("--tree", type=tree, action="append",
+                      help="LABEL=SRC: time the package in SRC under LABEL; "
+                           "repeat to alternate trees")
+    mode.add_argument("--case", type=int, help=argparse.SUPPRESS)
     args = ap.parse_args()
 
-    cases = {}
-    for system, n in CASES:
-        cases[case_name(system, n)] = time_case(system, n)
-        print(case_name(system, n), cases[case_name(system, n)], flush=True)
+    if args.case is not None:
+        print(json.dumps(time_case(*CASES[args.case])))
+        return
+    if args.tree:
+        trees = dict(args.tree)
+        how = (f"median over {ROUNDS} rounds, trees alternating case by case "
+               f"in subprocesses ({', '.join(trees)})")
+        runs = time_trees(trees, CASES)
+    else:
+        how = "one run in process"
+        runs = {args.label: {}}
+        for system, n in CASES:
+            runs[args.label][case_name(system, n)] = time_case(system, n)
+            print(case_name(system, n), runs[args.label][case_name(system, n)],
+                  flush=True)
     doc = json.loads(OUT.read_text()) if OUT.exists() else {}
     doc.update({
-        "what": "per-sample median ms of each census checker, best of "
-                f"{REPEATS} calls per sample, {SAMPLES} samples, seeds mix({SEED}, j)",
+        "what": "per-sample median ms, best of "
+                f"{REPEATS} calls per sample, {SAMPLES} samples, seeds "
+                f"mix({SEED}, j): the checkers' table evaluators on realized "
+                "tables, and census.* the census path on a sample's draws",
         "cases": [case_name(system, n) for system, n in CASES],
     })
-    doc.setdefault("runs", {})[args.label] = {
-        "environment": {"python": platform.python_version(),
-                        "numpy": np.__version__, "nproc": os.cpu_count(),
-                        "cpu": cpu_model()},
-        "median_ms": cases,
-    }
+    for label, cases in runs.items():
+        doc.setdefault("runs", {})[label] = {
+            "environment": environment(), "how": how, "median_ms": cases}
     OUT.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(f"wrote {OUT.name}")
 

@@ -43,6 +43,7 @@ from .terms import Signature, SystemSpec, render_system
 MAX_N = 64
 MAX_SAMPLES = 1_000_000
 _WILSON_Z = 1.959963984540054  # 95% two-sided normal quantile
+_HEAD_COLUMNS = 4  # subset draws tested for every subset before the rest
 
 
 @dataclass(frozen=True)
@@ -272,6 +273,11 @@ class _SampleEval:
             self._memo["tabs"] = self.ctx.realize_np(self.flat)
         return self._memo["tabs"]
 
+    def _cells(self):
+        """The tables if a property has realized them, else the plan's cell
+        views, which gather only the cells a checker reads."""
+        return self._memo.get("tabs") or self.ctx.realizer().cells(self.flat)
+
     def evaluate(self, prop: str) -> bool:
         if prop not in self._memo:
             entry, arg = self.parsed.get(prop) or (PROPERTIES[prop], None)
@@ -335,7 +341,12 @@ def _subsets(k: int, arrays: str) -> Property:
     """subalg<k>: some k-element subset is a proper subalgebra."""
     def family(ev, _):
         P, S = getattr(ev.ctx, arrays)()
-        return bool(_in_rows(ev.flat[P], S).all(axis=1).any())
+        # a draw lands in its subset with probability k/n, so few rows
+        # survive the first columns; only those are gathered further
+        live = np.flatnonzero(_in_rows(ev.flat[P[:, :_HEAD_COLUMNS]], S).all(axis=1))
+        if len(live) and P.shape[1] > _HEAD_COLUMNS:
+            live = live[_in_rows(ev.flat[P[live, _HEAD_COLUMNS:]], S[live]).all(axis=1)]
+        return bool(len(live))
 
     def theory(engine, _, n):
         d = engine.params.d_M
@@ -418,6 +429,7 @@ PROPERTIES = {p.name: p for p in (
     Property("automorphism", 2, _found(checkers._nontrivial_automorphism),
              _rigid_theory, prewarm=("realizer",)),
     Property("cross", 2, _found(checkers._any_cross), _rigid_theory,
+             family=lambda ev, _: checkers._any_cross(ev._cells(), ev.ctx.n) is not None,
              prewarm=("realizer",)),
     Property("idemprimal", 3, _idemprimal_table,
              lambda engine, _, n: ("asymptotic", idemprimality_verdict(

@@ -57,12 +57,16 @@ def _subuniverse(tabs, n: int, B):
     return None
 
 
+def _check_elements(algebra: FiniteAlgebra, elements, what: str) -> None:
+    if any(not 0 <= x < algebra.n for x in elements):
+        raise DomainError(f"{what} must be in 0..{algebra.n - 1}")
+
+
 def is_subuniverse(algebra: FiniteAlgebra, B) -> PropertyResult:
     B = sorted(set(B))
     if not B:
         raise DomainError("B must be non-empty")
-    if B[0] < 0 or B[-1] >= algebra.n:
-        raise DomainError(f"elements of B must be in 0..{algebra.n - 1}")
+    _check_elements(algebra, B, "elements of B")
     bad = _subuniverse(_tabs(algebra), algebra.n, B)
     if bad is None:
         return PropertyResult("subuniverse", True, tuple(B))
@@ -87,6 +91,7 @@ def _closure_np(tabs, n: int, seed) -> np.ndarray:
 def generated_subuniverse(algebra: FiniteAlgebra, G) -> list[int]:
     if not G:
         raise DomainError("generating set must be non-empty")
+    _check_elements(algebra, G, "generators")
     return [int(x) for x in _closure_np(_tabs(algebra), algebra.n, G)]
 
 
@@ -301,7 +306,9 @@ def has_nontrivial_automorphism(algebra: FiniteAlgebra) -> PropertyResult:
 def _cross_failures(tabs, n: int, elements) -> list:
     """Per element a of elements, the first coordinate set T, by operation
     and then T in bit order, on which the cross at a fails, or None if the
-    cross at a is compatible.
+    cross at a is compatible.  A table need only answer table[idx] for
+    arrays of flat cell indices idx, so a cell view serves as well as a
+    realized table.
 
     Decoupled test: the cross at a is a subuniverse of the square iff for
     every operation f of arity d and every T subset of coordinates, all u
@@ -315,17 +322,16 @@ def _cross_failures(tabs, n: int, elements) -> list:
     alive = np.asarray(elements, dtype=np.int64)
     pos = np.arange(len(alive))
     for tab, d in tabs:
-        grid = tab.reshape((n,) * d)
         for T, small, large in _cross_sides(d):
             if not len(alive):
                 return out
-            ok = _side_holds(grid, small, alive)
+            ok = _side_holds(tab, n, d, small, alive)
             miss = np.flatnonzero(~ok)
             if not len(miss):
                 continue
             # the side pinned on no coordinate is the whole grid, which holds
             # for a only if its diagonal cell, the other side, is a
-            ok[miss] = _side_holds(grid, large, alive[miss]) if large else False
+            ok[miss] = _side_holds(tab, n, d, large, alive[miss]) if large else False
             for p in pos[~ok].tolist():
                 out[p] = T
             alive, pos = alive[ok], pos[ok]
@@ -346,15 +352,36 @@ def _cross_sides(d: int) -> tuple:
     return tuple(out)
 
 
-def _side_holds(grid: np.ndarray, pinned, a: np.ndarray) -> np.ndarray:
+@lru_cache(maxsize=64)
+def _side_cells(n: int, d: int, pinned) -> tuple[int, np.ndarray]:
+    """(stride, offsets): the cells of arity d pinned to a on the axes in
+    pinned have the flat indices a * stride + offsets, the free axes in
+    row-major order, so the first n offsets vary the last free axis."""
+    weight = n ** np.arange(d - 1, -1, -1)
+    offsets = np.zeros(1, dtype=np.int64)
+    for j in range(d):
+        if j not in pinned:
+            offsets = (offsets[:, None] + np.arange(n) * weight[j]).ravel()
+    offsets.flags.writeable = False
+    return int(weight[list(pinned)].sum()), offsets
+
+
+def _side_holds(tab, n: int, d: int, pinned, a: np.ndarray) -> np.ndarray:
     """Per element of a, whether every cell pinned to it on the axes in
-    pinned, at least one, takes the value it."""
-    k = len(pinned)
-    cells = np.moveaxis(grid, pinned, range(k))[(a,) * k]
-    return (cells.reshape(len(a), -1) == a[:, None]).all(axis=1)
+    pinned, at least one, takes the value it.  The first n cells of the
+    side are read for every element, the rest only for the elements whose
+    first n cells all hold, since most elements fail early."""
+    stride, offsets = _side_cells(n, d, pinned)
+    base = a[:, None] * stride
+    ok = (tab[base + offsets[:n]] == a[:, None]).all(axis=1)
+    live = np.flatnonzero(ok)
+    if len(offsets) > n and len(live):
+        ok[live] = (tab[base[live] + offsets[n:]] == a[live, None]).all(axis=1)
+    return ok
 
 
 def cross_compatible(algebra: FiniteAlgebra, a: int) -> PropertyResult:
+    _check_elements(algebra, [a], "the cross's element")
     bad_T, = _cross_failures(_tabs(algebra), algebra.n, [a])
     if bad_T is None:
         return PropertyResult("cross-compatible", True, a)

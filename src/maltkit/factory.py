@@ -242,8 +242,10 @@ def check_cells(sig: Signature, n: int) -> None:
 class TablePlan:
     """The compiled realizer for one (dispatch, n).  Per symbol: the flat
     draw position behind every table cell (row-major), and the cells the
-    variable entry fills, with the argument each one selects.  A table is
-    flat[pos] with those cells overwritten."""
+    variable entry fills, with the argument each one selects.  At those
+    cells pos holds the argument minus n, a position counted from the end
+    of the layout, so flat[pos] stays in range and pos < 0 marks them.  A
+    table is flat[pos] with those cells overwritten."""
 
     def __init__(self, dispatch: DispatchTable, n: int):
         sig = dispatch.spec.signature
@@ -267,24 +269,55 @@ class TablePlan:
                 if entry == 0:
                     var_idx.append(idx)
                     var_arg.append(_digit(idx, n, d, sigma[0] - 1))
+                    pos[idx] = var_arg[-1] - n
                 else:
                     pos[idx] = oi.locate(entry, lambda t: _digit(idx, n, d, sigma[t] - 1))
+            pos.flags.writeable = False
             self.symbols.append((pos, np.concatenate(var_idx),
                                  np.concatenate(var_arg), d))
 
+    def _layout(self, flat: np.ndarray) -> np.ndarray:
+        """flat, padded to n entries if shorter, so every pos is in range."""
+        if len(flat) >= self.n:
+            return flat
+        return np.concatenate([flat, np.zeros(self.n - len(flat), dtype=np.int64)])
+
     def tables(self, flat: np.ndarray) -> list[tuple[np.ndarray, int]]:
         """[(table, arity)] per symbol for the family laid out in flat."""
+        flat = self._layout(flat)
         out = []
         for pos, var_idx, var_arg, d in self.symbols:
-            # with no draws at all, every cell is a variable cell
-            table = flat[pos] if self.oi.total else np.empty_like(pos)
+            table = flat[pos]
             table[var_idx] = var_arg
             out.append((table, d))
         return out
 
+    def cells(self, flat: np.ndarray) -> list[tuple["CellView", int]]:
+        """[(cell view, arity)] per symbol: the tables of tables(flat),
+        each cell gathered only when it is read."""
+        flat = self._layout(flat)
+        return [(CellView(pos, flat, self.n), d) for pos, _, _, d in self.symbols]
+
     def algebra(self, flat: np.ndarray) -> FiniteAlgebra:
         return FiniteAlgebra(self.n, self.signature, tuple(
             tuple(table.tolist()) for table, _ in self.tables(flat)))
+
+
+class CellView:
+    """One sample's table of one symbol, read by flat cell index: view[idx]
+    is flat[pos[idx]] with the variable entry's cells, pos < 0, answered
+    from pos (see TablePlan)."""
+
+    def __init__(self, pos: np.ndarray, flat: np.ndarray, n: int):
+        self.pos = pos
+        self.flat = flat
+        self.n = n
+
+    def __getitem__(self, idx) -> np.ndarray:
+        p = self.pos[idx]
+        out = self.flat[p]
+        np.copyto(out, p + self.n, where=p < 0)
+        return out
 
 
 def realize(dispatch: DispatchTable, mfamily: MFamily) -> FiniteAlgebra:

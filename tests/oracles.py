@@ -2,13 +2,15 @@
 checker and census tests compare against.
 
 Each oracle is an earlier, slower version of a decision that now lives
-once in maltkit.checkers: a closure of every pair in turn, without pairs
-settled by reachability, the automorphism search over every injective
-image of the generator chain, each extended by propagation that rejects
-conflicting images, the product loop over B^d for subuniverses, the
-cross test that evaluates the pinned-on-T side first, the minority-pair
-search over single cells, and Szendrei's criterion built from these
-oracles, with crosses checked as generic relations.
+once in maltkit.checkers or maltkit.census: a closure of every pair in
+turn, without pairs settled by reachability, the automorphism search over
+every injective image of the generator chain, each extended by
+propagation that rejects conflicting images, the product loop over B^d
+for subuniverses, the cross test that evaluates the pinned-on-T side
+first, the census subset test that gathers every draw of every subset at
+once, the minority-pair search over single cells, and Szendrei's
+criterion built from these oracles, with crosses checked as generic
+relations.
 The class-info oracles are the analysis layer's earlier per-term version:
 essential sets and (symbol, pattern) keys read off each LinearTerm, keys
 joined in a dict union-find, and orbits by the m! permutation sweep.
@@ -21,6 +23,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from maltkit.analysis import ClassInfo
+from maltkit.census import _in_rows
 from maltkit.checkers import (PropertyResult, _is_automorphism, _tabs,
                               cross_relation, is_compatible_relation)
 from maltkit.errors import BudgetError, DomainError
@@ -255,6 +258,13 @@ def oracle_nontrivial_automorphism(tabs, n):
         if perm != ident:
             return perm
     return None
+
+
+def oracle_subset_family(ctx, flat, k):
+    """subalg<k> on one census sample's draws, every draw position of
+    every k-subset gathered at once: some k-subset holds all its draws."""
+    P, S = ctx.pair_arrays() if k == 2 else ctx.triple_arrays()
+    return bool(_in_rows(flat[P], S).all(axis=1).any())
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import functools
 import io
 import json
 import math
@@ -5,8 +6,10 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from maltkit import census
 from maltkit.census import (CSV_HEADER, PROPERTIES, CensusEngine, Experiment,
-                            csv_text, minority_pair_probability,
+                            _in_rows, _SampleEval, csv_text,
+                            minority_pair_probability,
                             parse_fixed_b, parse_properties, run_census,
                             sweep_census, theory_for, wilson_interval,
                             write_csv)
@@ -16,6 +19,7 @@ from maltkit.checkers import (_tabs, cross_compatible,
                               has_proper_subalgebra_size_gt1, is_idemprimal,
                               is_subuniverse, subalgebras_of_size)
 from maltkit.errors import DomainError
+from maltkit.factory import TablePlan, draw_values, mix
 from maltkit.library import builtin_system
 from maltkit.terms import parse_system
 from oracles import (cross_only_algebra, oracle_any_cross,
@@ -23,7 +27,7 @@ from oracles import (cross_only_algebra, oracle_any_cross,
                      oracle_is_idemprimal, oracle_is_subuniverse,
                      oracle_nontrivial_automorphism,
                      oracle_pair_generated_proper, oracle_subalgebra,
-                     small_algebras)
+                     oracle_subset_family, small_algebras)
 
 
 @pytest.fixture(scope="module")
@@ -268,6 +272,92 @@ def test_census_idemprimal_consistency(maltsev_spec, maltsev_engine):
     assert c["idemprimal"] <= 400 - c["subalgGT1"]
     assert c["idemprimal"] <= 400 - c["automorphism"]
     assert c["idemprimal"] <= 400 - c["cross"]
+
+
+def test_subset_and_cross_census_realizes_no_table(monkeypatch):
+    """subalg2 and subalg3 read the draws and cross the plan's cell views,
+    so the census gathers no whole table; its counts are those of the
+    table evaluators on realized tables."""
+    spec = builtin_system("near-unanimity", 5)
+    engine = CensusEngine(spec)
+    props = ("subalg2", "subalg3", "cross")
+    ctx = engine.context(6)
+    want = dict.fromkeys(props, 0)
+    for j in range(60):
+        tabs = ctx.realize_np(draw_values(mix(3, j), 6, ctx.total_draws))
+        for p in props:
+            want[p] += PROPERTIES[p].decide(tabs, 6, None)[0]
+
+    def no_tables(self, flat):
+        raise AssertionError("a table was realized")
+    monkeypatch.setattr(TablePlan, "tables", no_tables)
+    report = run(engine, spec, 6, 60, 3, props)
+    assert {row.property: row.successes for row in report.rows} == want
+
+
+def test_idemprimal_census_realizes_each_sample_once(monkeypatch):
+    """With automorphism among the properties every sample's tables are
+    realized, once, and cross reads them instead of cell views."""
+    calls = []
+    tables = TablePlan.tables
+
+    def counted(self, flat):
+        calls.append(1)
+        return tables(self, flat)
+
+    def no_cells(self, flat):
+        raise AssertionError("cell views read although tables exist")
+    monkeypatch.setattr(TablePlan, "tables", counted)
+    monkeypatch.setattr(TablePlan, "cells", no_cells)
+    spec = builtin_system("hagemann-mitschke", 3)
+    run(CensusEngine(spec), spec, 6, 50, 8,
+        ("subalg2", "subalgGT1", "automorphism", "cross", "idemprimal"))
+    assert len(calls) == 50
+
+
+# (system, n): pair and triple arrays wider than the first column block;
+# at HM-3 n=4 a pair holds all its 6 draws in about one sample in ten
+STAGED_CASES = ((("near-unanimity", 5), 4), (("near-unanimity", 5), 5),
+                (("hagemann-mitschke", 3), 4))
+
+
+@functools.lru_cache(maxsize=None)
+def census_context(system, n):
+    return CensusEngine(builtin_system(*system)).context(n)
+
+
+def staged_and_full(system, n, seed, k):
+    """(census subset test, full-width oracle, whether a subset holds all
+    draws of the first column block) on one sample."""
+    ctx = census_context(system, n)
+    flat = draw_values(seed, n, ctx.total_draws)
+    P, S = ctx.pair_arrays() if k == 2 else ctx.triple_arrays()
+    assert P.shape[1] > census._HEAD_COLUMNS
+    head = _in_rows(flat[P[:, :census._HEAD_COLUMNS]], S).all(axis=1).any()
+    return (_SampleEval(ctx, flat, {}).evaluate(f"subalg{k}"),
+            oracle_subset_family(ctx, flat, k), bool(head))
+
+
+def test_staged_subset_test_matches_full_width():
+    """The staged test agrees with the full-width one on samples where
+    rows survive the first column block and then fail, where a subset
+    holds, and where no row survives the block."""
+    outcomes = set()
+    for system, n in STAGED_CASES:
+        for k in (2, 3):
+            for j in range(150):
+                got, want, head = staged_and_full(system, n, mix(61, j), k)
+                assert got == want, (system, n, k, j)
+                outcomes.add((head, got))
+    assert outcomes == {(True, False), (True, True), (False, False)}
+
+
+@given(st.integers(0, 2 ** 64 - 1), st.sampled_from(STAGED_CASES),
+       st.sampled_from((2, 3)))
+@settings(max_examples=150, deadline=None)
+def test_staged_subset_test_matches_full_width_on_any_seed(seed, case, k):
+    got, want, _ = staged_and_full(*case, seed, k)
+    assert got == want
 
 
 def test_sweep_census(maltsev_spec):

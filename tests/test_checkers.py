@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from maltkit.errors import BudgetError, DomainError
 from maltkit.factory import (FiniteAlgebra, build_dispatch, draw_values, mix,
                              realize, sample_mfamily)
 from maltkit.library import builtin_system
-from maltkit.terms import Signature
+from maltkit.terms import Signature, parse_system
 from oracles import (absorbing_algebra, affine_algebra, cross_only_algebra,
                      invariant_algebra,
                      oracle_automorphism_search, oracle_closure,
@@ -33,6 +34,9 @@ from oracles import (absorbing_algebra, affine_algebra, cross_only_algebra,
                      oracle_nontrivial_automorphism,
                      oracle_pair_generated_proper, random_algebra,
                      small_algebras)
+
+
+SYSTEMS_DIR = Path(__file__).resolve().parent.parent / "src" / "maltkit" / "systems"
 
 
 def cross_results(tabs, n):
@@ -105,6 +109,15 @@ def test_generated_subuniverse_is_smallest():
             for B in itertools.combinations(S, k):
                 if {0, 1} <= set(B):
                     assert not is_subuniverse(alg, B).holds
+
+
+def test_generated_subuniverse_rejects_elements_outside_the_carrier():
+    """A negative generator would index from the end of the table and one
+    of n or more past it, so both are refused before the closure."""
+    alg = random_algebra(4, (2,), np.random.default_rng(2))
+    for G in ([-1], [0, 4], [7]):
+        with pytest.raises(DomainError, match="generators"):
+            generated_subuniverse(alg, G)
 
 
 def test_pair_shortcut_matches_exhaustive():
@@ -372,6 +385,53 @@ def test_cross_decoupling_matches_relation_check():
             fast = cross_compatible(alg, a).holds
             slow = is_compatible_relation(alg, cross_relation(n, a)).holds
             assert fast == slow, (n, a)
+
+
+def test_cross_compatible_rejects_elements_outside_the_carrier():
+    """The cross test reads the cells at a * stride + offsets, so a
+    negative a would read other elements' cells; it is refused first."""
+    alg = random_algebra(4, (2, 3), np.random.default_rng(3))
+    for a in (-1, -4, 4):
+        with pytest.raises(DomainError, match="element"):
+            cross_compatible(alg, a)
+
+
+class ReadLog:
+    """A cell view that records (view, idx) of every read."""
+
+    def __init__(self, view, reads):
+        self.view, self.reads = view, reads
+
+    def __getitem__(self, idx):
+        self.reads.append((self.view, idx))
+        return self.view[idx]
+
+
+def test_cross_through_cell_views_matches_tables_and_oracle():
+    """On the samples of the pinned witness digest (every fixture but
+    cube-3 at n = 3, 5 and 8, seeds mix(4242, j)), the pass over the
+    plan's cell views, the pass over the realized tables and the oracle
+    give the same T at every element.  Some of the cells read lie on the
+    variable entry's cells, so those are answered from the plan."""
+    variable_reads = 0
+    for path in sorted(SYSTEMS_DIR.glob("*.mlt")):
+        if path.stem == "cube-3":
+            continue
+        engine = CensusEngine(parse_system(path.read_text(), path.stem))
+        for n in (3, 5, 8):
+            ctx = engine.context(n)
+            plan = ctx.realizer()
+            for j in range(10):
+                flat = draw_values(mix(4242, j), n, ctx.total_draws)
+                tabs = ctx.realize_np(flat)
+                want = [oracle_cross_compatible(tabs, n, a)[1] for a in range(n)]
+                assert _cross_failures(tabs, n, range(n)) == want, (path.stem, n, j)
+                reads = []
+                views = [(ReadLog(view, reads), d) for view, d in plan.cells(flat)]
+                assert _cross_failures(views, n, range(n)) == want, (path.stem, n, j)
+                variable_reads += sum(int((view.pos[idx] < 0).sum())
+                                      for view, idx in reads)
+    assert variable_reads
 
 
 def test_majority_cross_always_compatible():

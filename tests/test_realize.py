@@ -129,8 +129,15 @@ def test_plan_matches_reference_realizer(name):
         for dispatch in dispatches:
             assert realize(dispatch, sample_mfamily(trans, n, seed)) == want
         ctx = engine.context(n)
-        tabs = ctx.realize_np(draw_values(seed, n, ctx.total_draws))
+        flat = draw_values(seed, n, ctx.total_draws)
+        tabs = ctx.realize_np(flat)
         assert tuple(tuple(t.tolist()) for t, _ in tabs) == want.tables
+        # the cell views read the same tables, cell by cell or all at once
+        views = ctx.realizer().cells(flat)
+        for (view, d), table in zip(views, want.tables):
+            cells = np.arange(n ** d)
+            assert view[cells].tolist() == list(table)
+            assert view[cells[::-1].reshape(n, -1)].ravel().tolist() == list(table)[::-1]
 
 
 def rows(lists, width) -> np.ndarray:
