@@ -14,15 +14,16 @@ median over the samples is recorded in ms:
   the property on a sample whose tables no property has realized yet (a
   fresh sample evaluator on the draws).
 
-The file keeps one entry per label.  --label times the maltkit package
-this interpreter imports.  --tree LABEL=SRC, given once per tree, times
-the package under each SRC directory in subprocesses, alternating the
-trees case by case for ROUNDS rounds (the first tree leads in even rounds)
-and keeping each row's median over the rounds, so that both trees meet
-the same slow and fast phases of a shared machine:
+The file keeps one entry per label.  --tree LABEL=SRC, given once per
+tree, times the package under each SRC directory in subprocesses,
+alternating the trees case by case for ROUNDS rounds (the first tree leads
+in even rounds) and keeping each row's median over the rounds, so that
+both trees meet the same slow and fast phases of a shared machine.  A
+single in-process run moves by up to 50% between runs on such a machine,
+so even one tree is timed this way:
 
-    PYTHONPATH=src python3 scripts/bench_checkers.py --label change
     python3 scripts/bench_checkers.py --tree parent=../parent/src --tree change=src
+    python3 scripts/bench_checkers.py --tree change=src
 """
 
 import argparse
@@ -51,8 +52,8 @@ def case_name(args, n) -> str:
 
 
 def time_case(args, n) -> dict:
-    # imported here: with --tree only the subprocesses import maltkit, each
-    # from its own tree
+    # imported here: only the subprocesses import maltkit, each from its
+    # own tree
     from maltkit.census import PROPERTIES, CensusEngine, _SampleEval
     from maltkit.factory import draw_values, mix
     from maltkit.library import builtin_system
@@ -133,8 +134,6 @@ def tree(text: str) -> tuple[str, str]:
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     mode = ap.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--label",
-                      help="time the imported package under this key, e.g. change")
     mode.add_argument("--tree", type=tree, action="append",
                       help="LABEL=SRC: time the package in SRC under LABEL; "
                            "repeat to alternate trees")
@@ -144,18 +143,10 @@ def main():
     if args.case is not None:
         print(json.dumps(time_case(*CASES[args.case])))
         return
-    if args.tree:
-        trees = dict(args.tree)
-        how = (f"median over {ROUNDS} rounds, trees alternating case by case "
-               f"in subprocesses ({', '.join(trees)})")
-        runs = time_trees(trees, CASES)
-    else:
-        how = "one run in process"
-        runs = {args.label: {}}
-        for system, n in CASES:
-            runs[args.label][case_name(system, n)] = time_case(system, n)
-            print(case_name(system, n), runs[args.label][case_name(system, n)],
-                  flush=True)
+    trees = dict(args.tree)
+    how = (f"median over {ROUNDS} rounds, trees alternating case by case "
+           f"in subprocesses ({', '.join(trees)})")
+    runs = time_trees(trees, CASES)
     doc = json.loads(OUT.read_text()) if OUT.exists() else {}
     doc.update({
         "what": "per-sample median ms, best of "

@@ -11,13 +11,16 @@ to one).  So two classes lie in one orbit iff they share a key, and an
 orbit's id is the least class root over its classes' keys.  The keys are
 the equality-kernel codes of the arguments (terms.kernel_code), computed
 over arrays indexed by term.  The brute-force permutation sweep that
-cross-checks them at small m lives with the test oracles.
+cross-checks them at small m lives with the test oracles.  Every class
+fact (root, essential set, orbit) is read off the arrays of class_arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations
+from math import factorial
 
 import numpy as np
 
@@ -70,12 +73,18 @@ class MinimalTermReport:
     witness: tuple[int, ...]  # variable permutation realizing the normal form
 
 
-def _term_arrays(uni) -> tuple[np.ndarray, np.ndarray]:
-    """Per term index: the bitmask of its variables (bit v-1 for x_v) and
-    its key id, 0 for a variable and one id per (symbol, kernel code) of
-    an application's arguments."""
-    m = uni.m
+def class_arrays(closure: ClosurePartition) -> tuple[np.ndarray, ...]:
+    """The class facts every analysis reads, as four arrays over the term
+    indices: the class root (the class's least member), the variable mask
+    (bit v-1 for x_v), the class's essential mask and the class's orbit id.
+    Cached on the closure."""
+    cached = getattr(closure, "_class_arrays", None)
+    if cached is not None:
+        return cached
+    uni, m = closure.universe, closure.m
+    root = closure.roots()
     varmask = np.empty(uni.size, dtype=np.int64)
+    # key: 0 for a variable, one id per (symbol, kernel code of the arguments)
     key = np.zeros(uni.size, dtype=np.int64)
     varmask[:m] = 1 << np.arange(m)
     base = 1
@@ -87,28 +96,13 @@ def _term_arrays(uni) -> tuple[np.ndarray, np.ndarray]:
         kernel_code(key[part], cols)
         key[part] += base
         base += 1 << d * (d - 1) // 2
-    return varmask, key
-
-
-def class_infos(closure: ClosurePartition) -> dict[int, ClassInfo]:
-    """ClassInfo per class root, with orbit ids.  Cached on the closure."""
-    cached = getattr(closure, "_class_infos", None)
-    if cached is not None:
-        return cached
-    uni = closure.universe
-    members = closure.class_members()
-    roots = closure.roots()
-    varmask, key = _term_arrays(uni)
-    var_sets = [frozenset(v + 1 for v in range(uni.m) if mask >> v & 1)
-                for mask in range(1 << uni.m)]
-    pop = np.array([len(s) for s in var_sets])
-    ess = np.full(uni.size, (1 << uni.m) - 1)
-    np.bitwise_and.at(ess, roots, varmask)
-    least_pop = np.full(uni.size, uni.m + 1)
-    np.minimum.at(least_pop, roots, pop[varmask])
-    class_roots = np.flatnonzero(roots == np.arange(uni.size))
-    ess = ess[class_roots]
-    bad = np.flatnonzero(least_pop[class_roots] != pop[ess])
+    pop = np.array([len(_var_set(mask)) for mask in range(1 << m)])
+    ess = np.full(uni.size, (1 << m) - 1)
+    np.bitwise_and.at(ess, root, varmask)
+    least_pop = np.full(uni.size, m + 1)
+    np.minimum.at(least_pop, root, pop[varmask])
+    ess = ess[root]
+    bad = np.flatnonzero(least_pop[root] != pop[ess])
     if len(bad):
         if ess[bad[0]] == 0:
             raise DomainError("class with empty essential variable set; "
@@ -120,26 +114,37 @@ def class_infos(closure: ClosurePartition) -> dict[int, ClassInfo]:
     # member's symbol and kernel), so one pass finds the least class root
     # over each class's keys.
     least = np.full(int(key.max()) + 1, uni.size)
-    np.minimum.at(least, key, roots)
+    np.minimum.at(least, key, root)
     orbit = np.full(uni.size, uni.size)
-    np.minimum.at(orbit, roots, least[key])
-    infos = {root: ClassInfo(root, mem, var_sets[emask], oid) for (root, mem), emask, oid
-             in zip(members.items(), ess.tolist(), orbit[class_roots].tolist())}
-    closure._class_infos = infos
-    return infos
+    np.minimum.at(orbit, root, least[key])
+    closure._class_arrays = root, varmask, ess, orbit[root]
+    return closure._class_arrays
+
+
+@lru_cache(maxsize=None)
+def _var_set(mask: int) -> frozenset[int]:
+    return frozenset(v + 1 for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+def class_infos(closure: ClosurePartition) -> dict[int, ClassInfo]:
+    """ClassInfo per class root, in increasing root order."""
+    _, _, ess, orbit = class_arrays(closure)
+    members = closure.class_members()
+    roots = list(members)
+    return {root: ClassInfo(root, mem, _var_set(emask), oid) for (root, mem), emask, oid
+            in zip(members.items(), ess[roots].tolist(), orbit[roots].tolist())}
 
 
 def orbit_partition(closure: ClosurePartition) -> list[ClassInfo]:
     """All ClassInfos, sorted by class id."""
-    infos = class_infos(closure)
-    return [infos[r] for r in sorted(infos)]
+    return list(class_infos(closure).values())
 
 
 def essential_variables(closure: ClosurePartition, class_id: int) -> frozenset[int]:
-    infos = class_infos(closure)
-    if class_id not in infos:
+    root, _, ess, _ = class_arrays(closure)
+    if not (0 <= class_id < len(root) and root[class_id] == class_id):
         raise DomainError(f"{class_id} is not a class root")
-    return infos[class_id].essential_vars
+    return _var_set(int(ess[class_id]))
 
 
 def symmetry_group(closure: ClosurePartition, rep: LinearTerm) -> SymmetryGroup:
@@ -149,13 +154,16 @@ def symmetry_group(closure: ClosurePartition, rep: LinearTerm) -> SymmetryGroup:
     d = len(vs)
     if vs != frozenset(range(1, d + 1)):
         raise DomainError("representative must use exactly x_1..x_d")
-    root = closure.class_of(rep)
-    elems = []
-    for perm in permutations(range(1, d + 1)):
-        gamma = {v: perm[v - 1] for v in range(1, d + 1)}
-        if closure.class_of(substitute(rep, gamma)) == root:
-            elems.append(perm)
-    return SymmetryGroup(d, tuple(elems))
+    uni = closure.universe
+    i = uni.index_of(rep)
+    # row k: the images of x_1..x_d under the k-th permutation, 0-based
+    perms = np.array(list(permutations(range(d))))
+    base = 0 if rep.is_variable else uni.offsets[rep.symbol]
+    strides = closure.m ** np.arange(len(rep.args) - 1, -1, -1)
+    images = base + perms[:, np.array(rep.args) - 1] @ strides
+    root = closure.roots()
+    keep = perms[root[images] == root[i]] + 1
+    return SymmetryGroup(d, tuple(map(tuple, keep.tolist())))
 
 
 def canonical_transversal(closure: ClosurePartition) -> Transversal:
@@ -166,45 +174,30 @@ def canonical_transversal(closure: ClosurePartition) -> Transversal:
     variable class with representative x_1."""
     if not is_satisfiable(closure):
         raise DomainError("system is unsatisfiable; no transversal")
-    infos = class_infos(closure)
-    uni = closure.universe
-    orbits: dict[int, list[ClassInfo]] = {}
-    for info in infos.values():
-        orbits.setdefault(info.orbit_id, []).append(info)
-
-    var_orbit = infos[closure.find(0)].orbit_id
-    entries = [TransversalEntry(
-        class_id=closure.find(0),
-        rep=LinearTerm.var(1),
-        d=1,
-        group=SymmetryGroup(1, ((1,),)),
-        q=1,
-    )]
-    rest = []
-    for oid, classes in orbits.items():
-        if oid == var_orbit:
-            continue
-        candidates = [info for info in classes
-                      if max(info.essential_vars) == len(info.essential_vars)]
-        if not candidates:
-            raise AssertionError("orbit without an initial-segment class")
-        chosen = min(candidates, key=lambda c: c.class_id)
-        d = len(chosen.essential_vars)
-        target = frozenset(range(1, d + 1))
-        rep_idx = None
-        for i in chosen.members:
-            if uni.term_at(i).variables() == target:
-                rep_idx = i
-                break
-        rep = uni.term_at(rep_idx)
+    root, varmask, ess, orbit = class_arrays(closure)
+    classes = np.flatnonzero(root == np.arange(len(root)))
+    # the variables form orbit 0, the orbit of x_1; an orbit's id is its
+    # least class
+    other = classes[orbit[classes] != 0]
+    initial = other[(ess[other] & (ess[other] + 1)) == 0]
+    oids, first = np.unique(orbit[initial], return_index=True)
+    if len(oids) < np.count_nonzero(orbit[other] == other):
+        raise AssertionError("orbit without an initial-segment class")
+    chosen = np.zeros(len(root), dtype=bool)
+    chosen[initial[first]] = True
+    # each chosen class's least member with exactly the essential variables
+    hit = np.flatnonzero(chosen[root] & (varmask == ess))
+    chosen_roots, least = np.unique(root[hit], return_index=True)
+    entries = [TransversalEntry(0, LinearTerm.var(1), 1, SymmetryGroup(1, ((1,),)), 1)]
+    for class_id, i in zip(chosen_roots.tolist(), hit[least].tolist()):
+        rep = closure.universe.term_at(i)
         grp = symmetry_group(closure, rep)
-        fact = 1
-        for j in range(2, d + 1):
-            fact *= j
-        assert fact % len(grp) == 0
-        rest.append(TransversalEntry(chosen.class_id, rep, d, grp, fact // len(grp)))
-    rest.sort(key=lambda e: (e.d, e.class_id))
-    return Transversal(tuple(entries + rest))
+        d = len(rep.variables())
+        q, rem = divmod(factorial(d), len(grp))
+        assert rem == 0
+        entries.append(TransversalEntry(class_id, rep, d, grp, q))
+    entries[1:] = sorted(entries[1:], key=lambda e: (e.d, e.class_id))
+    return Transversal(tuple(entries))
 
 
 def _is_trivial(closure: ClosurePartition, t: LinearTerm) -> bool:
@@ -290,5 +283,5 @@ def classify_minimal(closure: ClosurePartition, t: LinearTerm) -> MinimalTermRep
 
 
 def essentially_different(closure: ClosurePartition, s: LinearTerm, t: LinearTerm) -> bool:
-    infos = class_infos(closure)
-    return infos[closure.class_of(s)].orbit_id != infos[closure.class_of(t)].orbit_id
+    *_, orbit = class_arrays(closure)
+    return bool(orbit[closure.universe.index_of(s)] != orbit[closure.universe.index_of(t)])

@@ -372,14 +372,9 @@ def _subalg_gt1_family(ev, _):
 
 
 def _subalg_gt1_theory(engine, _, n):
-    if engine.params.d_M >= 3:
-        return "asymptotic", 1.0
-    p2 = p_of_k(engine.params, 2)
-    if p2 > 2:
-        return "asymptotic", 0.0
-    if p2 == 2:
-        return "asymptotic", 1.0 - math.exp(-2.0)
-    return "asymptotic", 1.0
+    """A proper subalgebra of size > 1 is the only obstruction to
+    idemprimality that survives in the limit."""
+    return "asymptotic", 1.0 - idemprimality_verdict(engine.params).limit_probability
 
 
 def _rigid_theory(engine, _, n):

@@ -110,7 +110,7 @@ class ClosurePartition:
         self.spec = spec
         self.universe = universe
         self.parent = list(range(universe.size))
-        self._members = None
+        self._roots = self._members = None
 
     # -- union-find ---------------------------------------------------
 
@@ -129,7 +129,7 @@ class ClosurePartition:
             if ri > rj:
                 ri, rj = rj, ri
             self.parent[rj] = ri
-        self._members = None
+        self._roots = self._members = None
 
     def same(self, i: int, j: int) -> bool:
         return self.find(i) == self.find(j)
@@ -141,15 +141,16 @@ class ClosurePartition:
         return self.universe.m
 
     def roots(self) -> np.ndarray:
-        """The class root of every term index, by pointer jumping on parent.
-        union keeps the smaller root, so each root is its class's least
-        member."""
-        roots = np.array(self.parent, dtype=np.int64)
-        while True:
-            jumped = roots[roots]
-            if np.array_equal(jumped, roots):
-                return roots
-            roots = jumped
+        """The class root of every term index (read-only), by pointer
+        jumping on parent.  union keeps the smaller root, so each root is
+        its class's least member."""
+        if self._roots is None:
+            roots = np.array(self.parent, dtype=np.int64)
+            while not np.array_equal(jumped := roots[roots], roots):
+                roots = jumped
+            roots.flags.writeable = False
+            self._roots = roots
+        return self._roots
 
     def class_members(self) -> dict[int, list[int]]:
         """Map from class root to the sorted member indices, by root."""
@@ -283,9 +284,8 @@ def validate_assumptions(spec: SystemSpec, *, max_vars: int = DEFAULT_MAX_VARS,
             detail.append(f"symbol {spec.signature.name(sym)!r} is not idempotent")
     if not sat:
         detail.append("two distinct variables are forced equal")
-    # variable roots; any class avoiding them is a nontrivial term
-    var_roots = {clo.find(v) for v in range(clo.m)}
-    nontrivial = any(r not in var_roots for r in clo.class_members())
+    # a class holds no variable iff its root, its least member, is not one
+    nontrivial = bool((clo.roots() >= clo.m).any())
     if not nontrivial:
         detail.append("every linear term is equivalent to a variable")
     return AssumptionReport(idem, sat, nontrivial, clo.m, "; ".join(detail))

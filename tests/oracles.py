@@ -13,7 +13,10 @@ criterion built from these oracles, with crosses checked as generic
 relations.
 The class-info oracles are the analysis layer's earlier per-term version:
 essential sets and (symbol, pattern) keys read off each LinearTerm, keys
-joined in a dict union-find, and orbits by the m! permutation sweep.
+joined in a dict union-find, and orbits by the m! permutation sweep.  The
+transversal oracle groups ClassInfo objects by orbit and scans each chosen
+class's member list, and its symmetry groups substitute every permutation
+into a LinearTerm and look up the image's class.
 """
 
 import itertools
@@ -22,10 +25,12 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
-from maltkit.analysis import ClassInfo
+from maltkit.analysis import (ClassInfo, SymmetryGroup, Transversal,
+                              TransversalEntry, class_infos)
 from maltkit.census import _in_rows
 from maltkit.checkers import (PropertyResult, _is_automorphism, _tabs,
                               cross_relation, is_compatible_relation)
+from maltkit.closure import is_satisfiable
 from maltkit.errors import BudgetError, DomainError
 from maltkit.factory import FiniteAlgebra
 from maltkit.terms import (Identity, LinearTerm, Signature, SystemSpec,
@@ -392,6 +397,57 @@ def orbit_partition_bruteforce(closure):
     for root in members:  # in increasing order
         least.setdefault(uf.find(root), root)
     return {root: least[uf.find(root)] for root in members}
+
+
+def oracle_symmetry_group(closure, rep):
+    """All permutations pi of the representative's variables {x_1..x_d}
+    with rep[pi] in the same class, one substituted term per permutation."""
+    vs = rep.variables()
+    d = len(vs)
+    if vs != frozenset(range(1, d + 1)):
+        raise DomainError("representative must use exactly x_1..x_d")
+    root = closure.class_of(rep)
+    elems = []
+    for perm in itertools.permutations(range(1, d + 1)):
+        gamma = {v: perm[v - 1] for v in range(1, d + 1)}
+        if closure.class_of(substitute(rep, gamma)) == root:
+            elems.append(perm)
+    return SymmetryGroup(d, tuple(elems))
+
+
+def oracle_canonical_transversal(closure):
+    """The transversal from the ClassInfo view: per orbit the least class
+    with an initial-segment essential set, then its least member with
+    exactly those variables."""
+    if not is_satisfiable(closure):
+        raise DomainError("system is unsatisfiable; no transversal")
+    infos = class_infos(closure)
+    uni = closure.universe
+    orbits = {}
+    for info in infos.values():
+        orbits.setdefault(info.orbit_id, []).append(info)
+    var_orbit = infos[closure.find(0)].orbit_id
+    entries = [TransversalEntry(closure.find(0), LinearTerm.var(1), 1,
+                                SymmetryGroup(1, ((1,),)), 1)]
+    rest = []
+    for oid, classes in orbits.items():
+        if oid == var_orbit:
+            continue
+        candidates = [info for info in classes
+                      if max(info.essential_vars) == len(info.essential_vars)]
+        if not candidates:
+            raise AssertionError("orbit without an initial-segment class")
+        chosen = min(candidates, key=lambda c: c.class_id)
+        d = len(chosen.essential_vars)
+        target = frozenset(range(1, d + 1))
+        rep = next(uni.term_at(i) for i in chosen.members
+                   if uni.term_at(i).variables() == target)
+        grp = oracle_symmetry_group(closure, rep)
+        assert math.factorial(d) % len(grp) == 0
+        rest.append(TransversalEntry(chosen.class_id, rep, d, grp,
+                                     math.factorial(d) // len(grp)))
+    rest.sort(key=lambda e: (e.d, e.class_id))
+    return Transversal(tuple(entries + rest))
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import json
 import math
 from pathlib import Path
 
@@ -5,16 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maltkit import analysis, closure as closure_mod
 from maltkit.analysis import (canonical_transversal, class_infos,
                               classify_minimal, essential_variables,
                               essentially_different, is_minimal,
                               minimal_terms, orbit_partition, symmetry_group)
+from maltkit.census import CensusEngine
+from maltkit.cli import main
 from maltkit.closure import ClosurePartition, TermUniverse, compute_closure
 from maltkit.errors import DomainError
 from maltkit.library import builtin_system
 from maltkit.terms import LinearTerm, parse_system, required_variable_count
 
-from oracles import oracle_class_infos, orbit_partition_bruteforce, small_systems
+from oracles import (oracle_canonical_transversal, oracle_class_infos,
+                     oracle_symmetry_group, orbit_partition_bruteforce,
+                     small_systems)
 
 SYSTEMS_DIR = Path(__file__).resolve().parent.parent / "src" / "maltkit" / "systems"
 
@@ -92,6 +98,38 @@ def test_class_infos_match_oracles_on_random_systems(spec):
     if isinstance(got, dict):
         brute = orbit_partition_bruteforce(clo)
         assert {root: info.orbit_id for root, info in got.items()} == brute
+
+
+@pytest.mark.parametrize("path", sorted(SYSTEMS_DIR.glob("*.mlt")), ids=lambda p: p.stem)
+def test_transversal_matches_oracle_on_fixtures(path):
+    clo = compute_closure(fixture_spec(path))
+    assert canonical_transversal(clo) == oracle_canonical_transversal(clo)
+
+
+@given(small_systems())
+@settings(max_examples=200, deadline=None)
+def test_transversal_and_symmetry_groups_match_oracles_on_random_systems(spec):
+    clo = compute_closure(spec)
+    assert (outcome(canonical_transversal, clo)
+            == outcome(oracle_canonical_transversal, clo))
+    for i in range(clo.universe.size):
+        t = clo.universe.term_at(i)
+        assert (outcome(lambda c: symmetry_group(c, t), clo)
+                == outcome(lambda c: oracle_symmetry_group(c, t), clo)), t
+
+
+def test_analyze_and_census_engine_build_no_per_class_objects(monkeypatch, capsys):
+    """The analysis reads its class facts off arrays: neither `analyze`
+    nor the census set-up builds member lists or ClassInfo objects."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-class objects built")
+
+    monkeypatch.setattr(closure_mod, "_cache", {})
+    monkeypatch.setattr(ClosurePartition, "class_members", refuse)
+    monkeypatch.setattr(analysis, "ClassInfo", refuse)
+    assert main(["analyze", str(SYSTEMS_DIR / "hagemann-mitschke-3.mlt"), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["num_orbits"] > 1
+    CensusEngine(builtin_system("hagemann-mitschke", 3))
 
 
 def test_class_infos_rejects_unsatisfiable_closure():

@@ -2,6 +2,7 @@ import functools
 import io
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +22,7 @@ from maltkit.checkers import (_tabs, cross_compatible,
 from maltkit.errors import DomainError
 from maltkit.factory import TablePlan, draw_values, mix
 from maltkit.library import builtin_system
+from maltkit.params import p_of_k
 from maltkit.terms import parse_system
 from oracles import (cross_only_algebra, oracle_any_cross,
                      oracle_has_minority_two_subalgebra,
@@ -28,6 +30,9 @@ from oracles import (cross_only_algebra, oracle_any_cross,
                      oracle_nontrivial_automorphism,
                      oracle_pair_generated_proper, oracle_subalgebra,
                      oracle_subset_family, small_algebras)
+
+
+SYSTEMS_DIR = Path(__file__).resolve().parent.parent / "src" / "maltkit" / "systems"
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +121,22 @@ def test_theory_idemprimal(maltsev_engine):
     kind, val = theory_for(maltsev_engine, "idemprimal", 16)
     assert kind == "asymptotic"
     assert abs(val - math.exp(-2)) < 1e-15
+
+
+def test_subalg_gt1_theory_is_the_idemprimality_complement():
+    """The subalgGT1 limit on every fixture against the case split on d_M
+    and p(2) that it replaced."""
+    seen = set()
+    for path in sorted(SYSTEMS_DIR.glob("*.mlt")):
+        engine = CensusEngine(parse_system(path.read_text(), name=path.stem))
+        p2 = p_of_k(engine.params, 2)
+        if engine.params.d_M >= 3 or p2 < 2:
+            expected = 1.0
+        else:
+            expected = 0.0 if p2 > 2 else 1.0 - math.exp(-2.0)
+        assert theory_for(engine, "subalgGT1", 16) == ("asymptotic", expected), path.stem
+        seen.add(expected)
+    assert seen == {0.0, 1.0, 1.0 - math.exp(-2.0)}
 
 
 def test_theory_automorphism_cross(maltsev_engine):

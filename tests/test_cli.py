@@ -660,13 +660,16 @@ def test_enumerate_brute_rejects_max_vars(maltsev_file, capsys):
 ])
 def test_standing_assumptions_error_is_shared(command, tmp_path, capsys):
     system = tmp_path / "nonidem.mlt"
-    system.write_text("signature f/2\nidentity f(x,y) = f(y,x)\n")
     argv = command.split()
     argv[1] = str(system)
-    assert main(argv) == 1
-    assert capsys.readouterr().err == (
-        "error: system fails the standing assumptions: "
-        "symbol 'f' is not idempotent\n")
+    for text, detail in (
+            ("identity f(x,y) = f(y,x)", "symbol 'f' is not idempotent"),
+            # the projection: idempotent and satisfiable, but no term is nontrivial
+            ("identity f(x,y) = x", "every linear term is equivalent to a variable")):
+        system.write_text(f"signature f/2\n{text}\n")
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: system fails the standing assumptions: {detail}\n")
 
 
 def test_cross_needs_two_elements(tmp_path, capsys):
