@@ -12,11 +12,12 @@ orbit's id is the least class root over its classes' keys.  The keys are
 the equality-kernel codes of the arguments (terms.kernel_code), computed
 over arrays indexed by term.  The brute-force permutation sweep that
 cross-checks them at small m lives with the test oracles.  Every class
-fact (root, essential set, orbit) is read off the arrays of class_arrays.
+fact (root, essential set, orbit) is read off the arrays of class_infos.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
@@ -73,12 +74,43 @@ class MinimalTermReport:
     witness: tuple[int, ...]  # variable permutation realizing the normal form
 
 
-def class_arrays(closure: ClosurePartition) -> tuple[np.ndarray, ...]:
-    """The class facts every analysis reads, as four arrays over the term
-    indices: the class root (the class's least member), the variable mask
-    (bit v-1 for x_v), the class's essential mask and the class's orbit id.
+class ClassFacts(Mapping):
+    """The class facts every analysis reads, as arrays over the term
+    indices: root (the class's least member), varmask (bit v-1 for x_v),
+    ess (the class's essential mask) and orbit (the class's orbit id, the
+    least class root in the orbit); classes holds the class roots in
+    increasing order.  As a mapping it is the ClassInfo per class root,
+    built with the member lists on first lookup."""
+
+    def __init__(self, closure: ClosurePartition, varmask, ess, orbit):
+        self._closure, self._infos = closure, None
+        self.root, self.varmask, self.ess, self.orbit = closure.roots(), varmask, ess, orbit
+        self.classes = np.flatnonzero(self.root == np.arange(len(self.root)))
+
+    @property
+    def num_orbits(self) -> int:
+        return int(np.count_nonzero(self.orbit[self.classes] == self.classes))
+
+    def __len__(self):
+        return len(self.classes)
+
+    def __iter__(self):
+        return iter(self.classes.tolist())
+
+    def __getitem__(self, class_id: int) -> ClassInfo:
+        if self._infos is None:
+            roots = self.classes.tolist()
+            self._infos = {root: ClassInfo(root, mem, _var_set(emask), oid)
+                           for (root, mem), emask, oid
+                           in zip(self._closure.class_members().items(),
+                                  self.ess[roots].tolist(), self.orbit[roots].tolist())}
+        return self._infos[class_id]
+
+
+def class_infos(closure: ClosurePartition) -> ClassFacts:
+    """The ClassFacts of the closure, the one source of class facts.
     Cached on the closure."""
-    cached = getattr(closure, "_class_arrays", None)
+    cached = getattr(closure, "_class_facts", None)
     if cached is not None:
         return cached
     uni, m = closure.universe, closure.m
@@ -117,22 +149,13 @@ def class_arrays(closure: ClosurePartition) -> tuple[np.ndarray, ...]:
     np.minimum.at(least, key, root)
     orbit = np.full(uni.size, uni.size)
     np.minimum.at(orbit, root, least[key])
-    closure._class_arrays = root, varmask, ess, orbit[root]
-    return closure._class_arrays
+    closure._class_facts = ClassFacts(closure, varmask, ess, orbit[root])
+    return closure._class_facts
 
 
 @lru_cache(maxsize=None)
 def _var_set(mask: int) -> frozenset[int]:
     return frozenset(v + 1 for v in range(mask.bit_length()) if mask >> v & 1)
-
-
-def class_infos(closure: ClosurePartition) -> dict[int, ClassInfo]:
-    """ClassInfo per class root, in increasing root order."""
-    _, _, ess, orbit = class_arrays(closure)
-    members = closure.class_members()
-    roots = list(members)
-    return {root: ClassInfo(root, mem, _var_set(emask), oid) for (root, mem), emask, oid
-            in zip(members.items(), ess[roots].tolist(), orbit[roots].tolist())}
 
 
 def orbit_partition(closure: ClosurePartition) -> list[ClassInfo]:
@@ -141,10 +164,10 @@ def orbit_partition(closure: ClosurePartition) -> list[ClassInfo]:
 
 
 def essential_variables(closure: ClosurePartition, class_id: int) -> frozenset[int]:
-    root, _, ess, _ = class_arrays(closure)
-    if not (0 <= class_id < len(root) and root[class_id] == class_id):
+    facts = class_infos(closure)
+    if not (0 <= class_id < len(facts.root) and facts.root[class_id] == class_id):
         raise DomainError(f"{class_id} is not a class root")
-    return _var_set(int(ess[class_id]))
+    return _var_set(int(facts.ess[class_id]))
 
 
 def symmetry_group(closure: ClosurePartition, rep: LinearTerm) -> SymmetryGroup:
@@ -154,15 +177,11 @@ def symmetry_group(closure: ClosurePartition, rep: LinearTerm) -> SymmetryGroup:
     d = len(vs)
     if vs != frozenset(range(1, d + 1)):
         raise DomainError("representative must use exactly x_1..x_d")
-    uni = closure.universe
-    i = uni.index_of(rep)
     # row k: the images of x_1..x_d under the k-th permutation, 0-based
     perms = np.array(list(permutations(range(d))))
-    base = 0 if rep.is_variable else uni.offsets[rep.symbol]
-    strides = closure.m ** np.arange(len(rep.args) - 1, -1, -1)
-    images = base + perms[:, np.array(rep.args) - 1] @ strides
     root = closure.roots()
-    keep = perms[root[images] == root[i]] + 1
+    keep = perms[root[closure.universe.renamed_indices(rep, perms)]
+                 == root[closure.universe.index_of(rep)]] + 1
     return SymmetryGroup(d, tuple(map(tuple, keep.tolist())))
 
 
@@ -174,11 +193,11 @@ def canonical_transversal(closure: ClosurePartition) -> Transversal:
     variable class with representative x_1."""
     if not is_satisfiable(closure):
         raise DomainError("system is unsatisfiable; no transversal")
-    root, varmask, ess, orbit = class_arrays(closure)
-    classes = np.flatnonzero(root == np.arange(len(root)))
+    facts = class_infos(closure)
+    root, ess, orbit = facts.root, facts.ess, facts.orbit
     # the variables form orbit 0, the orbit of x_1; an orbit's id is its
     # least class
-    other = classes[orbit[classes] != 0]
+    other = facts.classes[orbit[facts.classes] != 0]
     initial = other[(ess[other] & (ess[other] + 1)) == 0]
     oids, first = np.unique(orbit[initial], return_index=True)
     if len(oids) < np.count_nonzero(orbit[other] == other):
@@ -186,7 +205,7 @@ def canonical_transversal(closure: ClosurePartition) -> Transversal:
     chosen = np.zeros(len(root), dtype=bool)
     chosen[initial[first]] = True
     # each chosen class's least member with exactly the essential variables
-    hit = np.flatnonzero(chosen[root] & (varmask == ess))
+    hit = np.flatnonzero(chosen[root] & (facts.varmask == ess))
     chosen_roots, least = np.unique(root[hit], return_index=True)
     entries = [TransversalEntry(0, LinearTerm.var(1), 1, SymmetryGroup(1, ((1,),)), 1)]
     for class_id, i in zip(chosen_roots.tolist(), hit[least].tolist()):
@@ -212,14 +231,8 @@ def is_minimal(closure: ClosurePartition, t: LinearTerm) -> bool:
     if t.is_variable or _is_trivial(closure, t):
         return False
     vs = sorted(t.variables())
-    for a in vs:
-        for b in vs:
-            if a == b:
-                continue
-            gamma = {v: (b if v == a else v) for v in vs}
-            if not _is_trivial(closure, substitute(t, gamma)):
-                return False
-    return True
+    return all(_is_trivial(closure, substitute(t, {v: (b if v == a else v) for v in vs}))
+               for a, b in permutations(vs, 2))
 
 
 def minimal_terms(closure: ClosurePartition, trans: Transversal) -> list[LinearTerm]:
@@ -260,28 +273,16 @@ def classify_minimal(closure: ClosurePartition, t: LinearTerm) -> MinimalTermRep
     # semiprojection: some coordinate i such that every pairwise
     # identification minor collapses to the image of x_i
     for i in ident:
-        good = True
-        for a in ident:
-            for b in ident:
-                if a == b:
-                    continue
-                gamma = {v: (b if v == a else v) for v in ident}
-                expect = gamma[i]
-                if triviality_witness(closure, substitute(t, gamma)) != expect:
-                    good = False
-                    break
-            if not good:
-                break
-        if good:
-            # witness permutation moving the projection coordinate first
-            perm = (i,) + tuple(v for v in ident if v != i)
-            inv = [0] * d
-            for pos, v in enumerate(perm):
-                inv[v - 1] = pos + 1
-            return MinimalTermReport(t, "semiprojection", tuple(inv))
+        if all(triviality_witness(closure, substitute(t, gamma)) == gamma[i]
+               for a, b in permutations(ident, 2)
+               for gamma in [{v: (b if v == a else v) for v in ident}]):
+            # witness: the inverse of the permutation (i, the rest in order)
+            # that moves the projection coordinate first
+            inv = tuple(1 if v == i else v + (v < i) for v in ident)
+            return MinimalTermReport(t, "semiprojection", inv)
     raise AssertionError("minimal term fits no classification case")
 
 
 def essentially_different(closure: ClosurePartition, s: LinearTerm, t: LinearTerm) -> bool:
-    *_, orbit = class_arrays(closure)
+    orbit = class_infos(closure).orbit
     return bool(orbit[closure.universe.index_of(s)] != orbit[closure.universe.index_of(t)])

@@ -16,11 +16,9 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import census as census_mod
 from . import checkers, factory, library, params as params_mod
-from .analysis import (canonical_transversal, class_arrays, classify_minimal,
+from .analysis import (canonical_transversal, class_infos, classify_minimal,
                        minimal_terms)
 from .closure import (DEFAULT_MAX_VARS, checked_closure, compute_closure,
                       entails_auto, validate_assumptions)
@@ -109,9 +107,7 @@ def _analysis_payload(spec, max_vars: int) -> dict:
         return payload
     trans = canonical_transversal(closure)
     pars = params_mod.parameters(trans)
-    # a class root is its own root, and an orbit's id is its least class root
-    root, _, _, orbit = class_arrays(closure)
-    terms = np.arange(len(root))
+    facts = class_infos(closure)
     entries = []
     for e in trans.entries:
         entries.append({
@@ -127,8 +123,8 @@ def _analysis_payload(spec, max_vars: int) -> dict:
     table = params_mod.asymptotic_table(pars)
     verdict = params_mod.idemprimality_verdict(pars)
     payload.update({
-        "num_classes": int(np.count_nonzero(root == terms)),
-        "num_orbits": int(np.count_nonzero(orbit == terms)),
+        "num_classes": len(facts),
+        "num_orbits": facts.num_orbits,
         "transversal": entries,
         "d_M": pars.d_M,
         "p": {str(k): params_mod.p_of_k(pars, k)

@@ -71,6 +71,14 @@ class TermUniverse:
         pows = self._pows[t.symbol]
         return self.offsets[t.symbol] + sum((a - 1) * p for a, p in zip(t.args, pows))
 
+    def renamed_indices(self, t: LinearTerm, images: np.ndarray) -> np.ndarray:
+        """The index of t under each renaming of its variables, one per row
+        of images: row k sends x_v to x_(images[k, v-1] + 1)."""
+        cols = images[:, np.array(t.args) - 1]
+        if t.is_variable:
+            return cols[:, 0]
+        return self.offsets[t.symbol] + cols @ np.array(self._pows[t.symbol])
+
     def term_at(self, i: int) -> LinearTerm:
         if i < self.m:
             return LinearTerm.var(i + 1)

@@ -132,6 +132,29 @@ def test_analyze_and_census_engine_build_no_per_class_objects(monkeypatch, capsy
     CensusEngine(builtin_system("hagemann-mitschke", 3))
 
 
+def test_analyze_reads_class_facts_through_class_infos(monkeypatch, capsys):
+    """class_infos is the one source of class facts, so a profile of it
+    covers the class-fact work of `analyze`: the facts the transversal and
+    the class and orbit counts read all come through it."""
+    from maltkit import cli
+    real, seen = analysis.class_infos, []
+
+    def spy(closure):
+        seen.append(closure)
+        return real(closure)
+
+    monkeypatch.setattr(closure_mod, "_cache", {})
+    monkeypatch.setattr(analysis, "class_infos", spy)
+    monkeypatch.setattr(cli, "class_infos", spy)
+    assert main(["analyze", str(SYSTEMS_DIR / "maltsev.mlt"), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert seen and all(c is seen[0] for c in seen)
+    facts = real(seen[0])
+    assert (payload["num_classes"], payload["num_orbits"]) == (len(facts),
+                                                               facts.num_orbits)
+    assert facts == oracle_class_infos(seen[0])
+
+
 def test_class_infos_rejects_unsatisfiable_closure():
     spec = parse_system("signature f/2\nidentity f(x,y) = x\n"
                         "identity f(x,y) = y\n")
