@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""Time the per-sample checkers and census evaluators on a fixed matrix of
-systems and sizes, and record the medians in BENCH_checkers.json at the
-repository root.
+"""Time the per-sample checkers and census evaluators, and the per-n
+compile, on a fixed matrix of systems and sizes, and record the medians in
+BENCH_checkers.json at the repository root.
 
-Each case draws 30 seeded census samples and realizes their tables once.
-Every row is timed on every sample as the best of REPEATS calls, and the
-median over the samples is recorded in ms:
+Each checker case draws 30 seeded census samples and realizes their
+tables once.  Every row is timed on every sample as the best of REPEATS
+calls, and the median over the samples is recorded in ms:
 
 - subalgGT1, automorphism, cross: the census registry's table evaluator
   over its checker internal, on the realized tables;
@@ -13,6 +13,12 @@ median over the samples is recorded in ms:
 - census.subalg2, census.subalg3, census.cross: what a census pays for
   the property on a sample whose tables no property has realized yet (a
   fresh sample evaluator on the draws).
+
+Each compile case builds the orbit index (factory.orbit_index) and then
+the gather plan (factory.TablePlan) once in a fresh process, as a census
+does, and records each one's wall time in ms and the process's peak RSS
+after both in MB.  It then builds both again under tracemalloc and
+records each one's traced peak above what was traced before it, in MB.
 
 The file keeps one entry per label.  --tree LABEL=SRC, given once per
 tree, times the package under each SRC directory in subprocesses,
@@ -30,15 +36,20 @@ import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 OUT = Path(__file__).resolve().parent.parent / "BENCH_checkers.json"
 CASES = ((("hagemann-mitschke", 3), 16), (("near-unanimity", 5), 14),
          (("maltsev",), 64), (("majority",), 32), (("day", 2), 16))
+COMPILE_CASES = ((("hagemann-mitschke", 3), 16), (("near-unanimity", 5), 14),
+                 (("olsak",), 10), (("near-unanimity", 5), 24),
+                 (("near-unanimity", 5), 32), (("olsak",), 16))
 CHECKERS = ("subalgGT1", "automorphism", "cross")
 CENSUS = ("subalg2", "subalg3", "cross")
 SAMPLES = 30
@@ -84,11 +95,42 @@ def time_case(args, n) -> dict:
     return out
 
 
-def time_trees(trees: dict, cases) -> dict:
-    """{label: {case: {row: median ms over the rounds}}}, each case timed
-    in one subprocess per tree and round, the trees alternating."""
+def time_compile(args, n) -> dict:
+    from maltkit import factory
+    from maltkit.census import CensusEngine
+    from maltkit.library import builtin_system
+
+    engine = CensusEngine(builtin_system(*args))
+    builds = (("factory.orbit_index", lambda: factory.orbit_index(engine.transversal, n)),
+              ("TablePlan", lambda: factory.TablePlan(engine.dispatch, n)))
+    out, held = {}, []
+    for name, build in builds:
+        t = time.perf_counter()
+        held.append(build())
+        out[name + "_ms"] = round(1e3 * (time.perf_counter() - t), 4)
+    out["peak_rss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+    held.clear()
+    factory.orbit_index.cache_clear()
+    tracemalloc.start()
+    for name, build in builds:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        held.append(build())
+        out[name + "_peak_mb"] = round(
+            (tracemalloc.get_traced_memory()[1] - before) / 2 ** 20, 2)
+    tracemalloc.stop()
+    return out
+
+
+JOBS = ([(time_case, system, n) for system, n in CASES]
+        + [(time_compile, system, n) for system, n in COMPILE_CASES])
+
+
+def time_trees(trees: dict) -> dict:
+    """{label: {job kind: {case: {row: median over the rounds}}}}, each job
+    run in one subprocess per tree and round, the trees alternating."""
     runs = {label: {} for label in trees}
-    for i, (system, n) in enumerate(cases):
+    for i, (job, system, n) in enumerate(JOBS):
         rounds = {label: [] for label in trees}
         for r in range(ROUNDS):
             order = list(trees.items())
@@ -99,11 +141,10 @@ def time_trees(trees: dict, cases) -> dict:
                                       check=True)
                 rounds[label].append(json.loads(proc.stdout))
         for label, got in rounds.items():
-            runs[label][case_name(system, n)] = {
-                row: round(statistics.median(g[row] for g in got), 4)
-                for row in got[0]}
-            print(label, case_name(system, n), runs[label][case_name(system, n)],
-                  flush=True)
+            row = {name: round(statistics.median(g[name] for g in got), 4)
+                   for name in got[0]}
+            runs[label].setdefault(job.__name__, {})[case_name(system, n)] = row
+            print(label, case_name(system, n), row, flush=True)
     return runs
 
 
@@ -141,12 +182,13 @@ def main():
     args = ap.parse_args()
 
     if args.case is not None:
-        print(json.dumps(time_case(*CASES[args.case])))
+        job, system, n = JOBS[args.case]
+        print(json.dumps(job(system, n)))
         return
     trees = dict(args.tree)
     how = (f"median over {ROUNDS} rounds, trees alternating case by case "
            f"in subprocesses ({', '.join(trees)})")
-    runs = time_trees(trees, CASES)
+    runs = time_trees(trees)
     doc = json.loads(OUT.read_text()) if OUT.exists() else {}
     doc.update({
         "what": "per-sample median ms, best of "
@@ -154,10 +196,17 @@ def main():
                 f"mix({SEED}, j): the checkers' table evaluators on realized "
                 "tables, and census.* the census path on a sample's draws",
         "cases": [case_name(system, n) for system, n in CASES],
+        "compile_what": "per-n compile in a fresh process: *_ms the wall time "
+                        "of the first factory.orbit_index and TablePlan build, "
+                        "peak_rss_mb the process's peak RSS after both, "
+                        "*_peak_mb each build's tracemalloc peak above what "
+                        "was traced before it",
+        "compile_cases": [case_name(system, n) for system, n in COMPILE_CASES],
     })
-    for label, cases in runs.items():
+    for label, jobs in runs.items():
         doc.setdefault("runs", {})[label] = {
-            "environment": environment(), "how": how, "median_ms": cases}
+            "environment": environment(), "how": how,
+            "median_ms": jobs["time_case"], "compile": jobs["time_compile"]}
     OUT.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(f"wrote {OUT.name}")
 

@@ -16,7 +16,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .analysis import Transversal, canonical_transversal
 from .closure import ClosurePartition, compute_closure
 from .errors import BudgetError, DomainError, ParseError
 from .params import p_of_k, parameters
-from .terms import LinearTerm, Signature, SystemSpec, kernel_code
+from .terms import LinearTerm, Signature, SystemSpec
 
 DEFAULT_MAX_CELLS = 100_000_000
 
@@ -147,23 +147,79 @@ def build_dispatch(closure: ClosurePartition, transversal: Transversal,
 # Orbit key indexing per (transversal, n)
 
 
-def _digit(codes: np.ndarray, n: int, d: int, j: int) -> np.ndarray:
-    """Coordinate j of the d-tuples with the given row-major base-n codes."""
-    return codes // n ** (d - 1 - j) % n
+# tuples per block, rounded to whole leading values; NU-5's orbit index at
+# n=14 built faster with 2^13 to 2^15 than with 2^17
+BLOCK_ROWS = 1 << 15
 
 
-def _axis(n: int, d: int, j: int) -> np.ndarray:
-    """Coordinate j over the row-major grid [n]^d, shaped to broadcast."""
-    return np.arange(n).reshape([n if i == j else 1 for i in range(d)])
+def _lead(leads: np.ndarray, rest: np.ndarray) -> np.ndarray:
+    """The tuples (a, x + (x >= a)) for each lead a in turn and each tuple
+    x of rest in turn, one row per coordinate and one column per tuple,
+    in the leads' type.  x -> x + (x >= a) keeps order, so lex-ordered
+    injective rest over [m] gives lex-ordered injective tuples over
+    [m + 1] for ascending leads."""
+    out = np.empty((len(rest) + 1, len(leads), rest.shape[1]), dtype=leads.dtype)
+    out[0] = leads[:, None]
+    np.add(rest[:, None], rest[:, None] >= leads[:, None], out=out[1:])
+    return out.reshape(len(out), -1)
+
+
+def injective_blocks(n: int, v: int):
+    """The injective v-tuples of [n] (v >= 1) in lex order, in blocks of
+    whole leading values of about BLOCK_ROWS tuples each; a block has one
+    row per coordinate and one column per tuple, int16 unless n is larger
+    (so arithmetic on a block must widen it first)."""
+    if v > n:
+        return
+    dtype = np.int16 if n <= np.iinfo(np.int16).max else np.int64
+    rest = np.zeros((0, 1), dtype=dtype) if v == 1 else np.concatenate(
+        list(injective_blocks(n - 1, v - 1)), axis=1)
+    step = max(1, BLOCK_ROWS // rest.shape[1])
+    for start in range(0, n, step):
+        yield _lead(np.arange(start, min(n, start + step), dtype=dtype), rest)
+
+
+def _weights(n: int, mu) -> np.ndarray:
+    """W_k = sum of n^(d-1-j) over the positions j with mu[j] = k, so
+    W . b (_codes) is the row-major code of the cell whose j-th argument
+    is b[mu[j]]."""
+    w = np.zeros(max(mu) + 1, dtype=np.int64)
+    for j, k in enumerate(mu):
+        w[k] += n ** (len(mu) - 1 - j)
+    return w
+
+
+def _codes(weights: np.ndarray, block: np.ndarray, out=None) -> np.ndarray:
+    """weights . b in int64 for each tuple b of the block."""
+    return np.einsum("k,kn->n", weights, block, out=out)
 
 
 def _least_code(column, group, n: int) -> np.ndarray:
     """The least base-n code over the G-images (u[g_1-1], ..., u[g_d-1]) of
     the tuples u whose j-th coordinates are column(j), taken one
-    coordinate and one group element at a time."""
+    coordinate and one group element at a time, in int64 whatever the
+    columns' type."""
     def code(g):
-        return functools.reduce(lambda c, p: c * n + column(p - 1), g, 0)
+        return functools.reduce(lambda c, p: c * n + column(p - 1), g, np.int64(0))
     return functools.reduce(np.minimum, map(code, group.elements))
+
+
+def _least_tuples(n: int, group) -> np.ndarray:
+    """The sorted base-n codes of the injective tuples of [n] that are
+    least in their G-orbits, read-only."""
+    weights = _weights(n, range(group.degree))
+    codes = np.empty(math.perm(n, group.degree), dtype=np.int64)
+    end = 0  # each block's codes are written after the kept ones
+    for block in injective_blocks(n, group.degree):
+        block_codes = _codes(weights, block, codes[end:end + block.shape[1]])
+        if len(group) > 1:
+            kept = block_codes[_least_code(block.__getitem__, group, n) == block_codes]
+            block_codes[:len(kept)] = kept
+            block_codes = kept
+        end += len(block_codes)
+    codes = codes[:end].copy() if end < len(codes) else codes
+    codes.flags.writeable = False
+    return codes
 
 
 class OrbitIndex:
@@ -171,24 +227,25 @@ class OrbitIndex:
     sorted base-n codes of its canonical orbit keys (the lex-least
     injective tuples under G_i).  Base-n codes sort as the tuples do, so
     entries in transversal order and keys in code order give positions
-    0..total-1 in draw order."""
+    0..total-1 in draw order.  Entries with equal groups share one
+    array, so all entries of a degree with a trivial group share the
+    codes of every injective tuple."""
 
     def __init__(self, transversal: Transversal, n: int):
+        tuples = sum(math.perm(n, e.d) for e in transversal.entries[1:])
+        if tuples > DEFAULT_MAX_CELLS:
+            raise BudgetError(f"orbit index at n={n} enumerates {tuples} "
+                              f"injective tuples (budget {DEFAULT_MAX_CELLS})")
         self.n = n
         self.groups = [e.group for e in transversal.entries]
         self.codes: list[np.ndarray] = [np.zeros(0, dtype=np.int64)]
         self.offsets = [0]
+        least: dict = {}  # group -> its codes
         for e in transversal.entries[1:]:
-            d = e.d
-            # the injective tuples that are least in their orbits
-            keep = np.ones((n,) * d, dtype=bool)
-            for j, k in combinations(range(d), 2):
-                keep &= _axis(n, d, j) != _axis(n, d, k)
-            if len(e.group) > 1:
-                keep &= _least_code(lambda j: _axis(n, d, j), e.group, n) \
-                    == np.arange(n ** d).reshape(keep.shape)
             self.offsets.append(self.offsets[-1] + len(self.codes[-1]))
-            self.codes.append(np.flatnonzero(keep))
+            if e.group not in least:
+                least[e.group] = _least_tuples(n, e.group)
+            self.codes.append(least[e.group])
         self.total = self.offsets[-1] + len(self.codes[-1])
 
     def locate(self, entry: int, column) -> np.ndarray:
@@ -205,8 +262,8 @@ class OrbitIndex:
 
     def keys(self, entry: int) -> np.ndarray:
         """The canonical keys of an entry as rows, in draw order."""
-        d, codes = self.groups[entry].degree, self.codes[entry]
-        return np.stack([_digit(codes, self.n, d, j) for j in range(d)], axis=-1)
+        shape = (self.n,) * self.groups[entry].degree
+        return np.stack(np.unravel_index(self.codes[entry], shape), axis=-1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -253,28 +310,36 @@ class TablePlan:
         self.n = n
         self.signature = sig
         self.oi = oi = orbit_index(dispatch.transversal, n)
-        self.symbols = []
+        # per pattern mu with v blocks, its cells are W . b over the
+        # injective v-tuples b in lex order (see _weights), ascending
+        # because mu is a restricted growth string; each cell gets one write
+        by_v: dict[int, list] = {}
+        symbols = []
         for sym in range(len(sig)):
-            d = sig.arity(sym)
-            # the equality kernel of each cell's arguments and of each pattern
-            kernel = kernel_code(np.zeros((n,) * d, dtype=np.int64),
-                                 [_axis(n, d, j) for j in range(d)])
+            pos = np.empty(n ** sig.arity(sym), dtype=np.int64)
             rules = dispatch.rules[sym]
-            mus = np.array(list(rules), dtype=np.int64)
-            masks = kernel_code(np.zeros(len(mus), dtype=np.int64), list(mus.T))
-            pos = np.zeros(n ** d, dtype=np.int64)
-            var_idx, var_arg = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-            for mask, (entry, sigma) in zip(masks.tolist(), rules.values()):
-                idx = np.flatnonzero(kernel == mask)
-                if entry == 0:
-                    var_idx.append(idx)
-                    var_arg.append(_digit(idx, n, d, sigma[0] - 1))
-                    pos[idx] = var_arg[-1] - n
-                else:
-                    pos[idx] = oi.locate(entry, lambda t: _digit(idx, n, d, sigma[t] - 1))
+            var_cells = [[] for _ in rules]  # per pattern, in rule order
+            for (mu, (entry, sigma)), out in zip(rules.items(), var_cells):
+                # the block coordinate behind each coordinate of the key
+                cols = [mu[s - 1] for s in sigma]
+                by_v.setdefault(max(mu) + 1, []).append(
+                    (pos, _weights(n, mu), entry, cols, out))
+            symbols.append((pos, var_cells, sig.arity(sym)))
+        for v, patterns in sorted(by_v.items()):
+            for block in injective_blocks(n, v):
+                for pos, weights, entry, cols, out in patterns:
+                    cells = _codes(weights, block)
+                    if entry == 0:
+                        out.append(np.stack([cells, block[cols[0]]]))
+                        pos[cells] = block[cols[0]] - n
+                    else:
+                        pos[cells] = oi.locate(entry, lambda t: block[cols[t]])
+        self.symbols = []
+        for pos, var_cells, d in symbols:
             pos.flags.writeable = False
-            self.symbols.append((pos, np.concatenate(var_idx),
-                                 np.concatenate(var_arg), d))
+            var_idx, var_arg = np.concatenate(
+                [np.zeros((2, 0), dtype=np.int64)] + sum(var_cells, []), axis=1)
+            self.symbols.append((pos, var_idx, var_arg, d))
 
     def _layout(self, flat: np.ndarray) -> np.ndarray:
         """flat, padded to n entries if shorter, so every pos is in range."""

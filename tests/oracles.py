@@ -17,8 +17,13 @@ joined in a dict union-find, and orbits by the m! permutation sweep.  The
 transversal oracle groups ClassInfo objects by orbit and scans each chosen
 class's member list, and its symmetry groups substitute every permutation
 into a LinearTerm and look up the image's class.
+The compile oracles are the factory's earlier grid builds: the orbit
+index masks the whole [n]^d grid per entry, and the gather plan computes
+the equality kernel of every cell, scans it once per pattern, and reads
+each cell's arguments back by division.
 """
 
+import functools
 import itertools
 import math
 
@@ -32,9 +37,9 @@ from maltkit.checkers import (PropertyResult, _is_automorphism, _tabs,
                               cross_relation, is_compatible_relation)
 from maltkit.closure import is_satisfiable
 from maltkit.errors import BudgetError, DomainError
-from maltkit.factory import FiniteAlgebra
+from maltkit.factory import FiniteAlgebra, check_cells
 from maltkit.terms import (Identity, LinearTerm, Signature, SystemSpec,
-                           substitute)
+                           kernel_code, substitute)
 
 # ---------------------------------------------------------------------------
 # argument patterns
@@ -448,6 +453,77 @@ def oracle_canonical_transversal(closure):
                                      math.factorial(d) // len(grp)))
     rest.sort(key=lambda e: (e.d, e.class_id))
     return Transversal(tuple(entries + rest))
+
+
+# ---------------------------------------------------------------------------
+# per-n compile over the whole grid
+
+
+def _digit(codes, n, d, j):
+    """Coordinate j of the d-tuples with the given row-major base-n codes."""
+    return codes // n ** (d - 1 - j) % n
+
+
+def _axis(n, d, j):
+    """Coordinate j over the row-major grid [n]^d, shaped to broadcast."""
+    return np.arange(n).reshape([n if i == j else 1 for i in range(d)])
+
+
+def _grid_least_code(column, group, n):
+    def code(g):
+        return functools.reduce(lambda c, p: c * n + column(p - 1), g, 0)
+    return functools.reduce(np.minimum, map(code, group.elements))
+
+
+def oracle_orbit_codes(transversal, n):
+    """(codes, offsets) of the orbit index: per entry, the flat grid codes
+    of the injective tuples that are least in their orbits."""
+    codes, offsets = [np.zeros(0, dtype=np.int64)], [0]
+    for e in transversal.entries[1:]:
+        d = e.d
+        keep = np.ones((n,) * d, dtype=bool)
+        for j, k in itertools.combinations(range(d), 2):
+            keep &= _axis(n, d, j) != _axis(n, d, k)
+        if len(e.group) > 1:
+            keep &= _grid_least_code(lambda j: _axis(n, d, j), e.group, n) \
+                == np.arange(n ** d).reshape(keep.shape)
+        offsets.append(offsets[-1] + len(codes[-1]))
+        codes.append(np.flatnonzero(keep))
+    return codes, offsets
+
+
+def oracle_plan_symbols(dispatch, n):
+    """The gather plan's (pos, var_idx, var_arg, arity) per symbol, by one
+    scan of the cells' equality kernel per pattern."""
+    sig = dispatch.spec.signature
+    check_cells(sig, n)
+    codes, offsets = oracle_orbit_codes(dispatch.transversal, n)
+    groups = [e.group for e in dispatch.transversal.entries]
+
+    def locate(entry, column):
+        least = _grid_least_code(column, groups[entry], n)
+        return offsets[entry] + np.searchsorted(codes[entry], least)
+
+    symbols = []
+    for sym in range(len(sig)):
+        d = sig.arity(sym)
+        kernel = kernel_code(np.zeros((n,) * d, dtype=np.int64),
+                             [_axis(n, d, j) for j in range(d)])
+        rules = dispatch.rules[sym]
+        mus = np.array(list(rules), dtype=np.int64)
+        masks = kernel_code(np.zeros(len(mus), dtype=np.int64), list(mus.T))
+        pos = np.zeros(n ** d, dtype=np.int64)
+        var_idx, var_arg = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+        for mask, (entry, sigma) in zip(masks.tolist(), rules.values()):
+            idx = np.flatnonzero(kernel == mask)
+            if entry == 0:
+                var_idx.append(idx)
+                var_arg.append(_digit(idx, n, d, sigma[0] - 1))
+                pos[idx] = var_arg[-1] - n
+            else:
+                pos[idx] = locate(entry, lambda t: _digit(idx, n, d, sigma[t] - 1))
+        symbols.append((pos, np.concatenate(var_idx), np.concatenate(var_arg), d))
+    return symbols
 
 
 @st.composite

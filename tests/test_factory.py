@@ -1,6 +1,9 @@
+import functools
 import itertools
 import json
 import random
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,12 +12,18 @@ from hypothesis import given, settings, strategies as st
 from maltkit.analysis import canonical_transversal
 from maltkit.closure import compute_closure
 from maltkit.errors import BudgetError, DomainError
-from maltkit.factory import (FiniteAlgebra, algebra_from_json,
-                             algebra_to_json, build_dispatch, draw_values,
-                             enumerate_models, extract_mfamily, mix,
+from maltkit import factory
+from maltkit.factory import (FiniteAlgebra, OrbitIndex, TablePlan,
+                             algebra_from_json, algebra_to_json,
+                             build_dispatch, draw_values, enumerate_models,
+                             extract_mfamily, injective_blocks, mix,
                              orbit_index, patterns_of_arity, realize,
                              sample_mfamily, validate_model)
 from maltkit.library import builtin_system
+from maltkit.terms import parse_system
+from oracles import oracle_orbit_codes, oracle_plan_symbols
+
+SYSTEMS_DIR = Path(__file__).resolve().parent.parent / "src" / "maltkit" / "systems"
 
 
 @pytest.fixture(scope="module")
@@ -200,6 +209,96 @@ def test_orbit_index_canonical_constant_on_orbits(cmaltsev_setup):
     positions = oi.position(entry, keys)
     assert np.array_equal(np.diff(positions), np.ones(len(keys) - 1))
     assert keys.tolist() == sorted(keys.tolist())
+
+
+# ---------------------------------------------------------------------------
+# per-n compile against the grid oracles
+
+
+@functools.lru_cache(maxsize=None)
+def fixture_dispatch(spec):
+    clo = compute_closure(spec)
+    return build_dispatch(clo, canonical_transversal(clo))
+
+
+def assert_same_arrays(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+def assert_compile_matches_oracle(dispatch, n):
+    """Orbit index and gather plan, byte for byte, as the grid builds."""
+    codes, offsets = oracle_orbit_codes(dispatch.transversal, n)
+    oi = OrbitIndex(dispatch.transversal, n)
+    assert oi.offsets == offsets
+    assert oi.total == offsets[-1] + len(codes[-1])
+    assert_same_arrays(oi.codes, codes)
+    plan, want = TablePlan(dispatch, n).symbols, oracle_plan_symbols(dispatch, n)
+    assert [d for *_, d in plan] == [d for *_, d in want]
+    for got_sym, want_sym in zip(plan, want):
+        assert_same_arrays(got_sym[:3], want_sym[:3])
+
+
+@pytest.mark.parametrize("path", sorted(SYSTEMS_DIR.glob("*.mlt")), ids=lambda p: p.stem)
+def test_compile_matches_grid_oracle_on_fixtures(path):
+    dispatch = fixture_dispatch(parse_system(path.read_text(), name=path.stem))
+    for n in (1, 2, 3, 5):
+        assert_compile_matches_oracle(dispatch, n)
+
+
+@pytest.mark.parametrize("system,n", [
+    (("near-unanimity", 5), 8), (("olsak",), 6), (("day", 2), 8),
+    (("commutative-maltsev",), 6),  # its ternary entry has a group of order 2
+])
+def test_compile_in_small_blocks_matches_grid_oracle(system, n, monkeypatch):
+    monkeypatch.setattr(factory, "BLOCK_ROWS", 4)
+    # every arity runs several blocks, one or four leading values each
+    assert all(len(list(injective_blocks(n, v))) > 1 for v in range(1, 4))
+    orbit_index.cache_clear()
+    try:
+        assert_compile_matches_oracle(fixture_dispatch(builtin_system(*system)), n)
+    finally:
+        orbit_index.cache_clear()
+
+
+@pytest.mark.parametrize("n,v", [(1, 1), (3, 1), (4, 2), (5, 3), (5, 5), (6, 4), (3, 4)])
+@pytest.mark.parametrize("block_rows", [1, 5, 1 << 15])
+def test_injective_blocks_enumerate_in_lex_order(n, v, block_rows, monkeypatch):
+    monkeypatch.setattr(factory, "BLOCK_ROWS", block_rows)
+    rows = [tuple(t) for b in injective_blocks(n, v) for t in b.T.tolist()]
+    assert rows == list(itertools.permutations(range(n), v))
+
+
+def test_injective_blocks_widen_past_int16():
+    # a unary symbol's cells at n beyond int16: the values must not wrap
+    n = 40_000
+    values = np.concatenate([b[0] for b in injective_blocks(n, 1)])
+    assert values.dtype == np.int64
+    assert np.array_equal(values, np.arange(n))
+
+
+def test_orbit_index_checks_its_budget_before_allocating():
+    # the grid build asked for n^2 bytes for the first binary entry
+    trans = canonical_transversal(compute_closure(builtin_system("near-unanimity", 5)))
+    with pytest.raises(BudgetError, match=r"^orbit index at n=1000000 enumerates "
+                                          r"\d+ injective tuples \(budget 100000000\)$"):
+        sample_mfamily(trans, 10 ** 6, 1)
+
+
+def test_plan_compile_memory_is_bounded_by_its_output():
+    # NU-5 at n=16: pos is 16^5 int64 (8.4 MB); the grid build's equality
+    # kernel, digit and index temporaries peaked at about 4.5 times that
+    dispatch = fixture_dispatch(builtin_system("near-unanimity", 5))
+    orbit_index(dispatch.transversal, 16)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        plan = TablePlan(dispatch, 16)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * plan.symbols[0][0].nbytes
 
 
 # ---------------------------------------------------------------------------
