@@ -154,29 +154,32 @@ BLOCK_ROWS = 1 << 15
 
 def _lead(leads: np.ndarray, rest: np.ndarray) -> np.ndarray:
     """The tuples (a, x + (x >= a)) for each lead a in turn and each tuple
-    x of rest in turn, one row per coordinate and one column per tuple,
-    in the leads' type.  x -> x + (x >= a) keeps order, so lex-ordered
-    injective rest over [m] gives lex-ordered injective tuples over
-    [m + 1] for ascending leads."""
+    x of rest in turn, one row per coordinate and one column per tuple.
+    x -> x + (x >= a) keeps order, so lex-ordered injective rest over [m]
+    gives lex-ordered injective tuples over [m + 1] for ascending leads."""
     out = np.empty((len(rest) + 1, len(leads), rest.shape[1]), dtype=leads.dtype)
     out[0] = leads[:, None]
     np.add(rest[:, None], rest[:, None] >= leads[:, None], out=out[1:])
     return out.reshape(len(out), -1)
 
 
+def _injective(n: int, v: int) -> np.ndarray:
+    """All injective v-tuples of [n] in lex order, as one block."""
+    if v == 0:
+        return np.zeros((0, 1), dtype=np.int64)
+    return _lead(np.arange(n, dtype=np.int64), _injective(n - 1, v - 1))
+
+
 def injective_blocks(n: int, v: int):
     """The injective v-tuples of [n] (v >= 1) in lex order, in blocks of
-    whole leading values of about BLOCK_ROWS tuples each; a block has one
-    row per coordinate and one column per tuple, int16 unless n is larger
-    (so arithmetic on a block must widen it first)."""
+    whole leading values of about BLOCK_ROWS tuples each; a block is int64,
+    one row per coordinate and one column per tuple."""
     if v > n:
         return
-    dtype = np.int16 if n <= np.iinfo(np.int16).max else np.int64
-    rest = np.zeros((0, 1), dtype=dtype) if v == 1 else np.concatenate(
-        list(injective_blocks(n - 1, v - 1)), axis=1)
+    rest = _injective(n - 1, v - 1)
     step = max(1, BLOCK_ROWS // rest.shape[1])
     for start in range(0, n, step):
-        yield _lead(np.arange(start, min(n, start + step), dtype=dtype), rest)
+        yield _lead(np.arange(start, min(n, start + step), dtype=np.int64), rest)
 
 
 def _weights(n: int, mu) -> np.ndarray:
@@ -190,17 +193,16 @@ def _weights(n: int, mu) -> np.ndarray:
 
 
 def _codes(weights: np.ndarray, block: np.ndarray, out=None) -> np.ndarray:
-    """weights . b in int64 for each tuple b of the block."""
-    return np.einsum("k,kn->n", weights, block, out=out)
+    """weights . b for each tuple b of the block."""
+    return np.matmul(weights, block, out=out)
 
 
 def _least_code(column, group, n: int) -> np.ndarray:
     """The least base-n code over the G-images (u[g_1-1], ..., u[g_d-1]) of
     the tuples u whose j-th coordinates are column(j), taken one
-    coordinate and one group element at a time, in int64 whatever the
-    columns' type."""
+    coordinate and one group element at a time."""
     def code(g):
-        return functools.reduce(lambda c, p: c * n + column(p - 1), g, np.int64(0))
+        return functools.reduce(lambda c, p: c * n + column(p - 1), g, 0)
     return functools.reduce(np.minimum, map(code, group.elements))
 
 

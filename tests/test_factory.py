@@ -270,14 +270,6 @@ def test_injective_blocks_enumerate_in_lex_order(n, v, block_rows, monkeypatch):
     assert rows == list(itertools.permutations(range(n), v))
 
 
-def test_injective_blocks_widen_past_int16():
-    # a unary symbol's cells at n beyond int16: the values must not wrap
-    n = 40_000
-    values = np.concatenate([b[0] for b in injective_blocks(n, 1)])
-    assert values.dtype == np.int64
-    assert np.array_equal(values, np.arange(n))
-
-
 def test_orbit_index_checks_its_budget_before_allocating():
     # the grid build asked for n^2 bytes for the first binary entry
     trans = canonical_transversal(compute_closure(builtin_system("near-unanimity", 5)))
