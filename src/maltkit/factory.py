@@ -219,6 +219,7 @@ def _least_tuples(n: int, group) -> np.ndarray:
             block_codes[:len(kept)] = kept
             block_codes = kept
         end += len(block_codes)
+        del block  # so that it is freed before the next one is built
     codes = codes[:end].copy() if end < len(codes) else codes
     codes.flags.writeable = False
     return codes
@@ -336,6 +337,7 @@ class TablePlan:
                         pos[cells] = block[cols[0]] - n
                     else:
                         pos[cells] = oi.locate(entry, lambda t: block[cols[t]])
+                del block  # so that it is freed before the next one is built
         self.symbols = []
         for pos, var_cells, d in symbols:
             pos.flags.writeable = False
