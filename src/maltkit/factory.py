@@ -16,7 +16,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import accumulate, permutations, product
 
 import numpy as np
 
@@ -214,25 +214,38 @@ def _least_tuples(n: int, group) -> np.ndarray:
     end = 0  # each block's codes are written after the kept ones
     for block in injective_blocks(n, group.degree):
         block_codes = _codes(weights, block, codes[end:end + block.shape[1]])
-        if len(group) > 1:
-            kept = block_codes[_least_code(block.__getitem__, group, n) == block_codes]
-            block_codes[:len(kept)] = kept
-            block_codes = kept
-        end += len(block_codes)
+        kept = block_codes[_least_code(block.__getitem__, group, n) == block_codes]
+        block_codes[:len(kept)] = kept
+        end += len(kept)
         del block  # so that it is freed before the next one is built
-    codes = codes[:end].copy() if end < len(codes) else codes
+    codes = codes[:end].copy()
     codes.flags.writeable = False
     return codes
 
 
+def _lex_rank(column, d: int, n: int):
+    """The lex rank among the injective d-tuples of [n] of the tuples u
+    whose j-th coordinates are column(j):
+    sum over j of (u_j - #{i < j : u_i < u_j}) * perm(n-1-j, d-1-j)."""
+    u = [column(j) for j in range(d)]
+    rank = 0
+    for j in range(d):
+        # n-1-j < 0 only when d > n, where there is no injective tuple
+        weight = math.perm(max(n - 1 - j, 0), d - 1 - j)
+        rank = rank + (u[j] - sum(u[i] < u[j] for i in range(j))) * weight
+    return rank
+
+
 class OrbitIndex:
-    """The draw layout at a fixed carrier size: per entry i >= 1, the
-    sorted base-n codes of its canonical orbit keys (the lex-least
-    injective tuples under G_i).  Base-n codes sort as the tuples do, so
-    entries in transversal order and keys in code order give positions
-    0..total-1 in draw order.  Entries with equal groups share one
-    array, so all entries of a degree with a trivial group share the
-    codes of every injective tuple."""
+    """The draw layout at a fixed carrier size: entries i >= 1 in
+    transversal order, each with one position per canonical orbit key (the
+    lex-least injective tuples under G_i), keys in lex order.  For a
+    trivial G_i every injective tuple is its own key, so its position is
+    its lex rank and the entry keeps only its offset and count.  For a
+    nontrivial G_i the entry keeps the sorted base-n codes of its keys
+    (base-n codes sort as the tuples do), shared by the entries with an
+    equal group, and a tuple's position is a binary search for its least
+    code over G_i."""
 
     def __init__(self, transversal: Transversal, n: int):
         tuples = sum(math.perm(n, e.d) for e in transversal.entries[1:])
@@ -241,21 +254,20 @@ class OrbitIndex:
                               f"injective tuples (budget {DEFAULT_MAX_CELLS})")
         self.n = n
         self.groups = [e.group for e in transversal.entries]
-        self.codes: list[np.ndarray] = [np.zeros(0, dtype=np.int64)]
-        self.offsets = [0]
-        least: dict = {}  # group -> its codes
-        for e in transversal.entries[1:]:
-            self.offsets.append(self.offsets[-1] + len(self.codes[-1]))
-            if e.group not in least:
-                least[e.group] = _least_tuples(n, e.group)
-            self.codes.append(least[e.group])
-        self.total = self.offsets[-1] + len(self.codes[-1])
+        least = {g: _least_tuples(n, g) for g in set(self.groups[1:]) if len(g) > 1}
+        # per entry, its keys' codes, or None for a trivial group
+        self.codes: list[np.ndarray | None] = [least.get(g) for g in self.groups]
+        counts = [math.perm(n, g.degree) if c is None else len(c)
+                  for g, c in zip(self.groups[1:], self.codes[1:])]
+        *self.offsets, self.total = accumulate([0] + counts, initial=0)
 
     def locate(self, entry: int, column) -> np.ndarray:
         """Flat draw positions of the orbits of the injective tuples whose
         j-th coordinates are column(j)."""
-        least = _least_code(column, self.groups[entry], self.n)
-        return self.offsets[entry] + np.searchsorted(self.codes[entry], least)
+        group, codes = self.groups[entry], self.codes[entry]
+        if codes is None:
+            return self.offsets[entry] + _lex_rank(column, group.degree, self.n)
+        return self.offsets[entry] + np.searchsorted(codes, _least_code(column, group, self.n))
 
     def position(self, entry: int, U) -> np.ndarray:
         """Flat draw positions of the orbits of the injective tuples along
@@ -265,8 +277,10 @@ class OrbitIndex:
 
     def keys(self, entry: int) -> np.ndarray:
         """The canonical keys of an entry as rows, in draw order."""
-        shape = (self.n,) * self.groups[entry].degree
-        return np.stack(np.unravel_index(self.codes[entry], shape), axis=-1)
+        d = self.groups[entry].degree
+        if self.codes[entry] is None:
+            return _injective(self.n, d).T
+        return np.stack(np.unravel_index(self.codes[entry], (self.n,) * d), axis=-1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -315,7 +329,12 @@ class TablePlan:
         self.oi = oi = orbit_index(dispatch.transversal, n)
         # per pattern mu with v blocks, its cells are W . b over the
         # injective v-tuples b in lex order (see _weights), ascending
-        # because mu is a restricted growth string; each cell gets one write
+        # because mu is a restricted growth string; each cell gets one
+        # write.  Outside the variable entry the tuples c are enumerated with
+        # the key's coordinates first (b[tau[k]] = c[k], cells W[tau] . c),
+        # so c's first rows are the key, and for a trivial group each key
+        # leads perm(n - d, v - d) tuples c in a row: tuple g of the
+        # enumeration reads position offset + g // perm(n - d, v - d).
         by_v: dict[int, list] = {}
         symbols = []
         for sym in range(len(sig)):
@@ -323,20 +342,29 @@ class TablePlan:
             rules = dispatch.rules[sym]
             var_cells = [[] for _ in rules]  # per pattern, in rule order
             for (mu, (entry, sigma)), out in zip(rules.items(), var_cells):
+                weights = _weights(n, mu)
                 # the block coordinate behind each coordinate of the key
                 cols = [mu[s - 1] for s in sigma]
-                by_v.setdefault(max(mu) + 1, []).append(
-                    (pos, _weights(n, mu), entry, cols, out))
+                if entry:
+                    tau = cols + [k for k in range(len(weights)) if k not in cols]
+                    weights = weights[tau]
+                by_v.setdefault(len(weights), []).append((pos, weights, entry, cols, out))
             symbols.append((pos, var_cells, sig.arity(sym)))
         for v, patterns in sorted(by_v.items()):
+            start = 0
             for block in injective_blocks(n, v):
+                tuples = np.arange(start, start + block.shape[1])
+                start += block.shape[1]
                 for pos, weights, entry, cols, out in patterns:
                     cells = _codes(weights, block)
                     if entry == 0:
                         out.append(np.stack([cells, block[cols[0]]]))
                         pos[cells] = block[cols[0]] - n
+                    elif oi.codes[entry] is None:
+                        ext = math.perm(n - len(cols), v - len(cols))
+                        pos[cells] = oi.offsets[entry] + tuples // ext
                     else:
-                        pos[cells] = oi.locate(entry, lambda t: block[cols[t]])
+                        pos[cells] = oi.locate(entry, block.__getitem__)
                 del block  # so that it is freed before the next one is built
         self.symbols = []
         for pos, var_cells, d in symbols:

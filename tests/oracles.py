@@ -476,8 +476,8 @@ def _grid_least_code(column, group, n):
 
 
 def oracle_orbit_codes(transversal, n):
-    """(codes, offsets) of the orbit index: per entry, the flat grid codes
-    of the injective tuples that are least in their orbits."""
+    """(codes, offsets) of the draw layout: per entry, the flat grid codes
+    of the injective tuples that are least in their orbits, in draw order."""
     codes, offsets = [np.zeros(0, dtype=np.int64)], [0]
     for e in transversal.entries[1:]:
         d = e.d

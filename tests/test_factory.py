@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from maltkit.analysis import canonical_transversal
+from maltkit.analysis import (SymmetryGroup, Transversal, TransversalEntry,
+                              canonical_transversal)
 from maltkit.closure import compute_closure
 from maltkit.errors import BudgetError, DomainError
 from maltkit import factory
@@ -20,7 +21,7 @@ from maltkit.factory import (FiniteAlgebra, OrbitIndex, TablePlan,
                              orbit_index, patterns_of_arity, realize,
                              sample_mfamily, validate_model)
 from maltkit.library import builtin_system
-from maltkit.terms import parse_system
+from maltkit.terms import LinearTerm, parse_system
 from oracles import oracle_orbit_codes, oracle_plan_symbols
 
 SYSTEMS_DIR = Path(__file__).resolve().parent.parent / "src" / "maltkit" / "systems"
@@ -228,12 +229,19 @@ def assert_same_arrays(got, want):
 
 
 def assert_compile_matches_oracle(dispatch, n):
-    """Orbit index and gather plan, byte for byte, as the grid builds."""
+    """Orbit index and gather plan, byte for byte, as the grid builds.
+    Trivial-group entries hold no codes, so every entry's keys are
+    compared as rows with the oracle's codes unravelled."""
     codes, offsets = oracle_orbit_codes(dispatch.transversal, n)
     oi = OrbitIndex(dispatch.transversal, n)
     assert oi.offsets == offsets
     assert oi.total == offsets[-1] + len(codes[-1])
-    assert_same_arrays(oi.codes, codes)
+    entries = range(1, len(dispatch.transversal))
+    keys = [oi.keys(e) for e in entries]
+    want_keys = [np.stack(np.unravel_index(codes[e], (n,) * oi.groups[e].degree), axis=-1)
+                 for e in entries]
+    assert [k.shape for k in keys] == [w.shape for w in want_keys]
+    assert_same_arrays(keys, want_keys)
     plan, want = TablePlan(dispatch, n).symbols, oracle_plan_symbols(dispatch, n)
     assert [d for *_, d in plan] == [d for *_, d in want]
     for got_sym, want_sym in zip(plan, want):
@@ -268,6 +276,40 @@ def test_injective_blocks_enumerate_in_lex_order(n, v, block_rows, monkeypatch):
     monkeypatch.setattr(factory, "BLOCK_ROWS", block_rows)
     rows = [tuple(t) for b in injective_blocks(n, v) for t in b.T.tolist()]
     assert rows == list(itertools.permutations(range(n), v))
+
+
+@pytest.mark.parametrize("n", [9, 3])
+def test_trivial_group_positions_are_lex_ranks(n):
+    # one trivial-group entry of each degree 1..5; at n=3 the entries of
+    # degree 4 and 5 have no injective tuple and get an empty input
+    def trivial(i, d):
+        return TransversalEntry(i, LinearTerm.var(1), d,
+                                SymmetryGroup(d, (tuple(range(1, d + 1)),)), 1)
+    trans = Transversal((trivial(0, 1),) + tuple(trivial(d, d) for d in range(1, 6)))
+    codes, offsets = oracle_orbit_codes(trans, n)
+    oi = OrbitIndex(trans, n)
+    rng = np.random.default_rng(n)
+    for d in range(1, 6):
+        U = (np.array([[rng.permutation(n)[:d] for _ in range(10)] for _ in range(20)])
+             if d <= n else np.zeros((0, d), dtype=np.int64))
+        want = offsets[d] + np.searchsorted(codes[d], U @ n ** np.arange(d - 1, -1, -1))
+        got = oi.position(d, U)
+        assert got.dtype == want.dtype and got.shape == U.shape[:-1]
+        assert np.array_equal(got, want)
+
+
+def test_orbit_index_holds_no_codes_for_trivial_groups():
+    # every NU-5 entry has a trivial group; an array of the codes of all
+    # injective 5-tuples at n=16 takes 4.2 MB
+    trans = canonical_transversal(compute_closure(builtin_system("near-unanimity", 5)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        OrbitIndex(trans, 16)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_orbit_index_checks_its_budget_before_allocating():
