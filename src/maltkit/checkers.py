@@ -6,6 +6,11 @@ Each decision is coded once, as an internal on numpy operation tables
 (tabs, n[, arg]) that returns a witness or None, so the census can call
 it per sample without boxing.  The public functions take a FiniteAlgebra
 and wrap the same internal; _tabs(...) converts between the two views.
+
+A table is read as table[idx] for integer arrays idx of flat cell indices
+(see _block), so a census cell view serves as well as a realized table,
+except in the automorphism search: _invariants and _is_automorphism read
+whole tables.
 """
 
 from __future__ import annotations
@@ -34,11 +39,16 @@ class PropertyResult:
 
 def _tabs(algebra: FiniteAlgebra):
     """[(flat numpy table, arity)] view of an algebra."""
-    out = []
-    for sym in range(len(algebra.signature)):
-        d = algebra.signature.arity(sym)
-        out.append((np.asarray(algebra.tables[sym], dtype=np.int64), d))
-    return out
+    return [(np.asarray(table, dtype=np.int64), d)
+            for table, (_, d) in zip(algebra.tables, algebra.signature.symbols)]
+
+
+def _block(axes, n: int) -> np.ndarray:
+    """The flat indices of the cells in axes[0] x axes[1] x ..., row-major."""
+    idx = axes[0]
+    for x in axes[1:]:
+        idx = (idx * n)[..., None] + x
+    return idx.ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -51,9 +61,9 @@ def _subuniverse(tabs, n: int, B):
     lexicographically, whose value leaves B."""
     Bs = np.asarray(B, dtype=np.int64)
     for sym, (tab, d) in enumerate(tabs):
-        bad = np.argwhere(~np.isin(tab.reshape((n,) * d)[np.ix_(*[Bs] * d)], Bs))
+        bad = np.flatnonzero(~np.isin(tab[_block([Bs] * d, n)], Bs))
         if len(bad):
-            return sym, tuple(int(Bs[i]) for i in bad[0])
+            return sym, tuple(int(Bs[i]) for i in np.unravel_index(bad[0], (len(Bs),) * d))
     return None
 
 
@@ -80,7 +90,7 @@ def _closure_np(tabs, n: int, seed) -> np.ndarray:
     S = np.flatnonzero(member)
     while len(S) < n:
         for tab, d in tabs:
-            member[tab.reshape((n,) * d)[np.ix_(*([S] * d))]] = True
+            member[tab[_block([S] * d, n)]] = True
         new = np.flatnonzero(member)
         if len(new) == len(S):
             break
@@ -191,47 +201,29 @@ def _subalgebras(tabs, n: int, k: int):
 
 def _extend(tabs, n: int, gens, imgs) -> np.ndarray:
     """The map that sends the generators to imgs and each element first
-    reached as f(u), closing the generators in rounds, to f(phi(u)); -1
-    off the subuniverse they generate.  An automorphism with these images
-    is this map, so _is_automorphism decides.  A round reads only the
-    cells with an argument first reached in the round before, since the
-    other cells were read already."""
+    reached as f(u), closing the generators in the rounds of _closure_np,
+    to f(phi(u)); -1 off the subuniverse they generate.  An automorphism
+    with these images is this map, so _is_automorphism decides."""
     phi = np.full(n, -1, dtype=np.int64)
     phi[gens] = imgs
-    known = phi >= 0
-    old, fresh = np.zeros(0, dtype=np.int64), np.flatnonzero(known)
-    S = fresh
-    while len(fresh) and len(S) < n:
+    S = np.flatnonzero(phi >= 0)
+    while len(S) < n:
         for tab, d in tabs:
-            for j in range(d):
-                # the cells whose first argument outside old is at coordinate j
-                axes = [old] * j + [fresh] + [S] * (d - 1 - j)
-                src = tab[_block(axes, n)]
-                new = phi[src] < 0
-                if new.any():
-                    phi[src[new]] = tab[_block([phi[x] for x in axes], n)[new]]
-        reached = phi >= 0
-        fresh = np.flatnonzero(reached & ~known)
-        known, old, S = reached, S, np.flatnonzero(reached)
+            src = tab[_block([S] * d, n)]
+            new = phi[src] < 0
+            if new.any():
+                phi[src[new]] = tab[_block([phi[S]] * d, n)[new]]
+        reached = np.flatnonzero(phi >= 0)
+        if len(reached) == len(S):
+            break
+        S = reached
     return phi
-
-
-def _block(axes, n: int) -> np.ndarray:
-    """The flat indices of the cells in axes[0] x axes[1] x ..., row-major."""
-    idx = axes[0]
-    for x in axes[1:]:
-        idx = (idx * n)[..., None] + x
-    return idx.ravel()
 
 
 def _is_automorphism(tabs, n: int, phi: np.ndarray) -> bool:
     if np.any(phi < 0) or len(np.unique(phi)) != n:
         return False
-    for tab, d in tabs:
-        grid = tab.reshape((n,) * d)
-        if not np.array_equal(phi[grid], grid[np.ix_(*([phi] * d))]):
-            return False
-    return True
+    return all(np.array_equal(phi[tab], tab[_block([phi] * d, n)]) for tab, d in tabs)
 
 
 def _generator_chain(tabs, n: int) -> list[int]:
@@ -306,9 +298,7 @@ def has_nontrivial_automorphism(algebra: FiniteAlgebra) -> PropertyResult:
 def _cross_failures(tabs, n: int, elements) -> list:
     """Per element a of elements, the first coordinate set T, by operation
     and then T in bit order, on which the cross at a fails, or None if the
-    cross at a is compatible.  A table need only answer table[idx] for
-    arrays of flat cell indices idx, so a cell view serves as well as a
-    realized table.
+    cross at a is compatible.
 
     Decoupled test: the cross at a is a subuniverse of the square iff for
     every operation f of arity d and every T subset of coordinates, all u
@@ -425,8 +415,8 @@ def is_idemprimal(algebra: FiniteAlgebra) -> PropertyResult:
 
 
 def _minority_values(a: int, b: int):
-    """The 8 cells of the minority operation on {a,b}: a exactly when it
-    occurs an odd number of times (once, or on the diagonal)."""
+    """The 8 cells of the minority operation on {a,b}, in row-major order:
+    a exactly when it occurs an odd number of times (once, or diagonal)."""
     return {args: a if args.count(a) % 2 else b
             for args in product((a, b), repeat=3)}
 
@@ -443,9 +433,10 @@ def has_minority_two_subalgebra(algebra: FiniteAlgebra, symbol) -> PropertyResul
 def _minority_pair(tabs, n: int, symbol: int):
     """The first pair (a, b), lexicographically, that is a subuniverse on
     which the ternary symbol is the minority operation, or None."""
-    grid = tabs[symbol][0].reshape((n,) * 3)
+    tab = tabs[symbol][0]
     for a, b in combinations(range(n), 2):
-        if all(grid[args] == v for args, v in _minority_values(a, b).items()) \
+        want = list(_minority_values(a, b).values())
+        if np.array_equal(tab[_block([np.array([a, b])] * 3, n)], want) \
                 and _subuniverse(tabs, n, (a, b)) is None:
             return a, b
     return None

@@ -23,7 +23,7 @@ from .analysis import (canonical_transversal, class_infos, classify_minimal,
 from .closure import (DEFAULT_MAX_VARS, checked_closure, compute_closure,
                       entails_auto, validate_assumptions)
 from .errors import DomainError, MaltkitError, ParseError
-from .terms import (Identity, parse_system, render_system, render_term,
+from .terms import (parse_identity, parse_system, render_system, render_term,
                     variable_names)
 
 SCHEMA_VERSION = 1
@@ -191,11 +191,10 @@ def _print_analysis_text(p: dict):
 
 def cmd_entail(args) -> int:
     spec = _load_system(args.system)
-    # parse the query through a one-identity document over the same signature
-    sig_line = "signature " + ", ".join(
-        f"{nm}/{ar}" for nm, ar in spec.signature.symbols)
-    query = parse_system(f"{sig_line}\nidentity {args.identity}\n")
-    ident: Identity = query.identities[0]
+    try:
+        ident = parse_identity(args.identity, spec.signature)
+    except ParseError as exc:
+        raise ParseError(f"query: {exc}") from None
     report = validate_assumptions(spec, max_vars=args.max_vars)
     if not report.satisfiable:
         print("UNSATISFIABLE (every identity is semantically entailed)")

@@ -68,7 +68,6 @@ class FiniteAlgebra:
     tables: tuple[tuple[int, ...], ...]  # row-major, index sum(a_j * n^(d-1-j))
 
     def value(self, sym: int, args) -> int:
-        d = self.signature.arity(sym)
         idx = 0
         for a in args:
             idx = idx * self.n + a
@@ -184,17 +183,12 @@ def injective_blocks(n: int, v: int):
 
 def _weights(n: int, mu) -> np.ndarray:
     """W_k = sum of n^(d-1-j) over the positions j with mu[j] = k, so
-    W . b (_codes) is the row-major code of the cell whose j-th argument
+    W . b is the row-major code of the cell whose j-th argument
     is b[mu[j]]."""
     w = np.zeros(max(mu) + 1, dtype=np.int64)
     for j, k in enumerate(mu):
         w[k] += n ** (len(mu) - 1 - j)
     return w
-
-
-def _codes(weights: np.ndarray, block: np.ndarray, out=None) -> np.ndarray:
-    """weights . b for each tuple b of the block."""
-    return np.matmul(weights, block, out=out)
 
 
 def _least_code(column, group, n: int) -> np.ndarray:
@@ -213,7 +207,7 @@ def _least_tuples(n: int, group) -> np.ndarray:
     codes = np.empty(math.perm(n, group.degree), dtype=np.int64)
     end = 0  # each block's codes are written after the kept ones
     for block in injective_blocks(n, group.degree):
-        block_codes = _codes(weights, block, codes[end:end + block.shape[1]])
+        block_codes = np.matmul(weights, block, out=codes[end:end + block.shape[1]])
         kept = block_codes[_least_code(block.__getitem__, group, n) == block_codes]
         block_codes[:len(kept)] = kept
         end += len(kept)
@@ -356,7 +350,7 @@ class TablePlan:
                 tuples = np.arange(start, start + block.shape[1])
                 start += block.shape[1]
                 for pos, weights, entry, cols, out in patterns:
-                    cells = _codes(weights, block)
+                    cells = np.matmul(weights, block)
                     if entry == 0:
                         out.append(np.stack([cells, block[cols[0]]]))
                         pos[cells] = block[cols[0]] - n
@@ -503,29 +497,40 @@ def enumerate_models(spec: SystemSpec, n: int, backend: str = "family", *,
 
 
 def algebra_to_json(algebra: FiniteAlgebra) -> str:
-    ops = {}
-    for sym in range(len(algebra.signature)):
-        ops[algebra.signature.name(sym)] = {
-            "arity": algebra.signature.arity(sym),
-            "table": list(algebra.tables[sym]),
-        }
+    ops = {name: {"arity": d, "table": list(table)}
+           for (name, d), table in zip(algebra.signature.symbols, algebra.tables)}
     return json.dumps({"n": algebra.n, "operations": ops},
                       separators=(",", ":"))
 
 
+def _json_typed(value, kind: type, path: str):
+    """value if it has the JSON type kind (int, list or dict; a bool is no
+    int), else a ParseError naming the field at path."""
+    if type(value) is not kind:
+        kind_name = {int: "an integer", list: "an array", dict: "an object"}[kind]
+        raise ParseError(f"{path} must be {kind_name}, got {json.dumps(value)[:40]}")
+    return value
+
+
 def algebra_from_json(text: str) -> FiniteAlgebra:
+    symbols, tables = [], []
     try:
-        doc = json.loads(text)
-        n = int(doc["n"])
-        symbols = []
-        tables = []
-        for name, body in doc["operations"].items():
-            symbols.append((name, int(body["arity"])))
-            tables.append(tuple(int(v) for v in body["table"]))
+        doc = _json_typed(json.loads(text), dict, "the algebra document")
+        n = _json_typed(doc["n"], int, "n")
+        for name, body in _json_typed(doc["operations"], dict, "operations").items():
+            path = f"operations.{name}"
+            body = _json_typed(body, dict, path)
+            symbols.append((name, _json_typed(body["arity"], int, f"{path}.arity")))
+            table = _json_typed(body["table"], list, f"{path}.table")
+            bad = [v for v in table if type(v) is not int]
+            if bad:
+                raise ParseError(
+                    f"{path}.table must hold integers, got {json.dumps(bad[0])[:40]}")
+            tables.append(tuple(table))
         sig = Signature(tuple(symbols))
     except KeyError as exc:
         raise ParseError(f"algebra document lacks {exc}") from None
-    except (TypeError, ValueError, AttributeError) as exc:
+    except (ValueError, RecursionError) as exc:  # not JSON, nested too deep, bad name
         raise ParseError(f"malformed algebra document: {exc}") from None
     if n < 1:
         raise DomainError("algebra needs n >= 1")

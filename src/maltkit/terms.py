@@ -279,17 +279,21 @@ def parse_system(text: str, name: str = "") -> SystemSpec:
             raise ParseError(f"duplicate symbol {nm!r}")
         seen.add(nm)
     sig = Signature(tuple(decls))
-    identities = []
-    for lineno, body in identity_lines:
-        # Split on the single top-level '='; terms never contain '='.
-        if body.count("=") != 1:
-            raise ParseError("identity needs exactly one '='", line=lineno)
-        lhs_s, _, rhs_s = body.partition("=")
-        varmap: dict[str, int] = {}
-        lhs = _parse_term(lhs_s, sig, varmap, lineno)
-        rhs = _parse_term(rhs_s, sig, varmap, lineno)
-        identities.append(Identity(lhs, rhs))
-    return SystemSpec(sig, tuple(identities), name=name)
+    identities = tuple(parse_identity(body, sig, lineno) for lineno, body in identity_lines)
+    return SystemSpec(sig, identities, name=name)
+
+
+def parse_identity(text: str, sig: Signature, lineno: int | None = None) -> Identity:
+    """Parse one identity 'lhs = rhs' over sig; lineno, if given, locates
+    errors in a document."""
+    # Split on the single top-level '='; terms never contain '='.
+    if text.count("=") != 1:
+        raise ParseError("identity needs exactly one '='", line=lineno)
+    lhs_s, _, rhs_s = text.partition("=")
+    varmap: dict[str, int] = {}
+    lhs = _parse_term(lhs_s, sig, varmap, lineno)
+    rhs = _parse_term(rhs_s, sig, varmap, lineno)
+    return Identity(lhs, rhs)
 
 
 # ---------------------------------------------------------------------------

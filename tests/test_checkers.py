@@ -9,10 +9,11 @@ from hypothesis import given, settings
 
 from maltkit import checkers
 from maltkit.analysis import canonical_transversal
-from maltkit.checkers import (_any_cross, _cross_failures, _extend,
+from maltkit.checkers import (_any_cross, _closure_np, _cross_failures, _extend,
                               _generator_chain, _is_automorphism,
-                              _minority_values, _nontrivial_automorphism,
-                              _pair_generated_proper, _tabs,
+                              _minority_pair, _minority_values,
+                              _nontrivial_automorphism,
+                              _pair_generated_proper, _subuniverse, _tabs,
                               automorphisms, cross_compatible, cross_relation,
                               generated_subuniverse,
                               has_minority_two_subalgebra,
@@ -272,8 +273,8 @@ def test_extension_stops_short_of_a_non_generating_set():
 
 @pytest.mark.parametrize("n", [*range(1, 9), 12, 16, 32])
 def test_affine_automorphism_group(n):
-    """Also against the oracle's propagation: the extension reads only the
-    cells with an argument reached in the round before."""
+    """Also against the oracle's propagation, which rejects conflicting
+    images, where the extension leaves them to _is_automorphism."""
     want = {tuple((a * x + b) % n for x in range(n))
             for a in range(n) if math.gcd(a, n) == 1 for b in range(n)}
     got = automorphisms(affine_algebra(n))
@@ -432,6 +433,39 @@ def test_cross_through_cell_views_matches_tables_and_oracle():
                 variable_reads += sum(int((view.pos[idx] < 0).sum())
                                       for view, idx in reads)
     assert variable_reads
+
+
+def test_checkers_read_cell_views_as_tables():
+    """Closures, pair generation, the generator chain, the extension of
+    generator images, subuniverse witnesses and minority pairs are the
+    same on the plan's cell views as on the realized tables."""
+    found = set()
+    for args, n in ((("hagemann-mitschke", 3), 8), (("near-unanimity", 5), 6),
+                    (("maltsev",), 8), (("majority",), 6), (("minority2",), 6)):
+        ctx = CensusEngine(builtin_system(*args)).context(n)
+        plan = ctx.realizer()
+        for j in range(10):
+            flat = draw_values(mix(91, j), n, ctx.total_draws)
+            tabs, views = plan.tables(flat), plan.cells(flat)
+            seed = (j % n, (j + 1) % n)
+            closed = _closure_np(tabs, n, seed)
+            assert np.array_equal(_closure_np(views, n, seed), closed), (args, j)
+            witness = _pair_generated_proper(tabs, n)
+            assert _pair_generated_proper(views, n) == witness, (args, j)
+            gens = _generator_chain(tabs, n)
+            assert _generator_chain(views, n) == gens, (args, j)
+            imgs = tuple(np.random.default_rng(j).permutation(n)[gens])
+            phi = _extend(tabs, n, gens, imgs)
+            assert np.array_equal(_extend(views, n, gens, imgs), phi), (args, j)
+            for B in (closed, witness or (0, 1), (0, 1, 2)):
+                bad = _subuniverse(tabs, n, B)
+                assert _subuniverse(views, n, B) == bad, (args, j, B)
+                found.add(bad is None)
+            for sym in (s for s, (_, d) in enumerate(tabs) if d == 3):
+                pair = _minority_pair(tabs, n, sym)
+                assert _minority_pair(views, n, sym) == pair, (args, j, sym)
+                found.add(pair)
+    assert {True, False, None} < found  # both subuniverse answers, some pair
 
 
 def test_majority_cross_always_compatible():

@@ -77,6 +77,22 @@ def test_entail(cmaltsev_file, capsys):
     assert capsys.readouterr().out.strip() == "NOT ENTAILED"
 
 
+@pytest.mark.parametrize("query, message", [
+    ("f(x,y,y) = x\nsignature g/2", "cannot parse term"),
+    ("f(x,y,y) = y\nidentity f(x,y,y) = x", "exactly one '='"),
+    ("f(x,y,y) = y; f(x,y,y) = x", "exactly one '='"),
+    ("g(x,y) = x", "undeclared symbol 'g'"),
+    ("f(x,y = x", "cannot parse term"),
+])
+def test_entail_accepts_exactly_one_identity(query, message, maltsev_file, capsys):
+    """A query is one identity over the system's signature; an error in it
+    says query:, not a line of a document the user never wrote."""
+    assert main(["entail", maltsev_file, query]) == 2
+    err = capsys.readouterr().err
+    assert_one_line_error(err)
+    assert err.startswith("error: query: ") and message in err
+
+
 def test_sample_requires_seed(maltsev_file, capsys):
     assert main(["sample", maltsev_file, "-n", "4"]) == 2
     assert "--seed" in capsys.readouterr().err
@@ -446,6 +462,7 @@ def test_check_rejects_empty_carrier(tmp_path, capsys):
     '{"n": 2, "operations": {"f": {"arity": 1}}}',
     '{"n": 2, "operations": {"f": {"arity": 1, "table": [0, "one"]}}}',
     '{"n": 2, "operations": [1, 2]}',
+    '{"n": 2.5, "operations": {"f": {"arity": 1, "table": [0, 1]}}}',
 ])
 def test_check_rejects_malformed_algebra(content, tmp_path, capsys):
     path = tmp_path / "alg.json"

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from maltkit.analysis import (SymmetryGroup, Transversal, TransversalEntry,
                               canonical_transversal)
 from maltkit.closure import compute_closure
-from maltkit.errors import BudgetError, DomainError
+from maltkit.errors import BudgetError, DomainError, ParseError
 from maltkit import factory
 from maltkit.factory import (FiniteAlgebra, OrbitIndex, TablePlan,
                              algebra_from_json, algebra_to_json,
@@ -362,8 +362,32 @@ def test_algebra_json_row_major(maltsev_setup):
 
 
 def test_algebra_json_rejects_bad_table():
+    """Only JSON integers are numbers (a bool or a float is not), and a
+    parse error names the field."""
     with pytest.raises(DomainError):
         algebra_from_json('{"n": 2, "operations": {"f": {"arity": 3, "table": [0, 1]}}}')
     with pytest.raises(DomainError):
         algebra_from_json(
             '{"n": 2, "operations": {"f": {"arity": 1, "table": [0, 5]}}}')
+    f1 = '"operations": {"f": {"arity": 1, "table": [0, 1, 2]}}'
+    for doc, field in [
+            ('{"n": 3.7, %s}' % f1, "n"),
+            ('{"n": "3", %s}' % f1, "n"),
+            ('{"n": true, %s}' % f1, "n"),
+            ('{"n": 3, "operations": {"f": {"arity": 2.9, "table": [0, 1, 2]}}}',
+             "operations.f.arity"),
+            ('{"n": 2, "operations": {"f": {"arity": 1, "table": [0, 1.5]}}}',
+             "operations.f.table"),
+            ('{"n": 2, "operations": {"f": {"arity": 1, "table": [0, true]}}}',
+             "operations.f.table"),
+            ('{"n": 2, "operations": {"f": {"arity": 1, "table": [0, null]}}}',
+             "operations.f.table"),
+            ('{"n": 2, "operations": {"f": {"arity": 1, "table": "01"}}}',
+             "operations.f.table"),
+            ('{"n": 2, "operations": {"f": [0, 1]}}', "operations.f"),
+            ('{"n": 2, "operations": []}', "operations"),
+            ('[1, 2]', "the algebra document")]:
+        with pytest.raises(ParseError, match=rf"^{field} must"):
+            algebra_from_json(doc)
+    with pytest.raises(ParseError, match="malformed"):
+        algebra_from_json("[" * 100_000 + "]" * 100_000)
