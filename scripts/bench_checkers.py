@@ -9,6 +9,9 @@ calls, and the median over the samples is recorded in ms:
 
 - subalgGT1, automorphism, cross: the census registry's table evaluator
   over its checker internal, on the realized tables;
+- automorphism.extend_calls: not a time but the mean number of
+  checkers._extend calls per sample in one automorphism evaluation, the
+  candidate images tried beyond the generator chain's own;
 - census.realize_np: realizing one sample's tables from its draws;
 - census.subalg2, census.subalg3, census.cross: what a census pays for
   the property on a sample whose tables no property has realized yet (a
@@ -46,7 +49,9 @@ from pathlib import Path
 
 OUT = Path(__file__).resolve().parent.parent / "BENCH_checkers.json"
 CASES = ((("hagemann-mitschke", 3), 16), (("near-unanimity", 5), 14),
-         (("maltsev",), 64), (("majority",), 32), (("day", 2), 16))
+         (("maltsev",), 64), (("majority",), 32), (("day", 2), 16),
+         (("olsak",), 8), (("cyclic", 2), 12), (("minority2",), 12),
+         (("minority3",), 12), (("cube", 2), 8))
 COMPILE_CASES = ((("hagemann-mitschke", 3), 16), (("near-unanimity", 5), 14),
                  (("olsak",), 10), (("near-unanimity", 5), 24),
                  (("near-unanimity", 5), 32), (("olsak",), 16))
@@ -65,6 +70,7 @@ def case_name(args, n) -> str:
 def time_case(args, n) -> dict:
     # imported here: only the subprocesses import maltkit, each from its
     # own tree
+    from maltkit import checkers
     from maltkit.census import PROPERTIES, CensusEngine, _SampleEval
     from maltkit.factory import draw_values, mix
     from maltkit.library import builtin_system
@@ -88,6 +94,12 @@ def time_case(args, n) -> dict:
 
     out = {name: median_ms(lambda tabs: PROPERTIES[name].table(tabs, n, None), samples)
            for name in CHECKERS}
+    extend, calls = checkers._extend, []
+    checkers._extend = lambda *a: calls.append(1) or extend(*a)
+    for tabs in samples:
+        PROPERTIES["automorphism"].table(tabs, n, None)
+    checkers._extend = extend
+    out["automorphism.extend_calls"] = len(calls) / SAMPLES
     out["census.realize_np"] = median_ms(ctx.realize_np, flats)
     for name in CENSUS:
         out["census." + name] = median_ms(
@@ -194,7 +206,9 @@ def main():
         "what": "per-sample median ms, best of "
                 f"{REPEATS} calls per sample, {SAMPLES} samples, seeds "
                 f"mix({SEED}, j): the checkers' table evaluators on realized "
-                "tables, and census.* the census path on a sample's draws",
+                "tables, and census.* the census path on a sample's draws; "
+                "automorphism.extend_calls is no time but the mean number "
+                "of checkers._extend calls per sample",
         "cases": [case_name(system, n) for system, n in CASES],
         "compile_what": "per-n compile in a fresh process: *_ms the wall time "
                         "of the first factory.orbit_index and TablePlan build, "

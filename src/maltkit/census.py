@@ -127,14 +127,10 @@ class CensusEngine:
         text = render_system(spec)
         digest = hashlib.sha256(text.encode()).hexdigest()[:8]
         self.system_label = f"{spec.name or 'system'}#{digest}"
-        self._nctx: dict[int, _NContext] = {}
 
     def context(self, n: int) -> "_NContext":
-        ctx = self._nctx.get(n)
-        if ctx is None:
-            ctx = _NContext(self, n)
-            self._nctx[n] = ctx
-        return ctx
+        """A new context for carrier size n, which its census drops."""
+        return _NContext(self, n)
 
 
 class _NContext:
@@ -514,12 +510,13 @@ def run_census(experiment: Experiment, engine: CensusEngine | None = None) -> Ce
 
 def sweep_census(spec: SystemSpec, n_list, samples: int, seed: int,
                  properties) -> list[CensusReport]:
-    """One census per n, sub-seeded by mix(seed, n)."""
+    """One census per n, sub-seeded by mix(seed, n), one n's plan held at a time."""
     engine = CensusEngine(spec)
     out = []
     for n in n_list:
         exp = Experiment(spec, n, samples, mix(seed, n), tuple(properties))
         out.append(run_census(exp, engine))
+        engine.dispatch.drop_plan(n)
     return out
 
 

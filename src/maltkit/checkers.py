@@ -8,9 +8,8 @@ it per sample without boxing.  The public functions take a FiniteAlgebra
 and wrap the same internal; _tabs(...) converts between the two views.
 
 A table is read as table[idx] for integer arrays idx of flat cell indices
-(see _block), so a census cell view serves as well as a realized table,
-except in the automorphism search: _invariants and _is_automorphism read
-whole tables.
+(see _block), or as table[:] for every cell, so a census cell view serves
+as well as a realized table.
 """
 
 from __future__ import annotations
@@ -223,7 +222,7 @@ def _extend(tabs, n: int, gens, imgs) -> np.ndarray:
 def _is_automorphism(tabs, n: int, phi: np.ndarray) -> bool:
     if np.any(phi < 0) or len(np.unique(phi)) != n:
         return False
-    return all(np.array_equal(phi[tab], tab[_block([phi] * d, n)]) for tab, d in tabs)
+    return all(np.array_equal(phi[tab[:]], tab[_block([phi] * d, n)]) for tab, d in tabs)
 
 
 def _generator_chain(tabs, n: int) -> list[int]:
@@ -234,23 +233,17 @@ def _generator_chain(tabs, n: int) -> list[int]:
     return gens
 
 
-def _invariants(tabs, n: int) -> np.ndarray:
-    """Per element (row), counts every automorphism preserves: per operation,
-    the cells with that value and, per coordinate, the cells fixing it there."""
-    cols = []
-    for tab, d in tabs:
-        grid = tab.reshape((n,) * d)
-        cols.append(np.bincount(tab, minlength=n))
-        for j in range(d):
-            at_j = np.arange(n).reshape((n,) + (1,) * (d - 1 - j))
-            cols.append(np.bincount(grid[grid == at_j], minlength=n))
-    return np.stack(cols, axis=1)
+def _candidates(tabs, n: int, gens) -> list[list[int]]:
+    """Per generator g, ascending, the elements that each table takes as
+    often as g: an automorphism maps the cells of value x onto phi(x)'s."""
+    counts = np.stack([np.bincount(tab[:], minlength=n) for tab, _ in tabs], axis=1)
+    return [np.flatnonzero((counts == counts[g]).all(axis=1)).tolist() for g in gens]
 
 
 def _automorphism_search(tabs, n: int):
     """Yield every automorphism as an image tuple, in lexicographic order of
     the chain's images.  The budget counts all injective images of the
-    chain; only those with each generator's invariants are tried."""
+    chain; only the _candidates are tried."""
     if n > AUTOMORPHISM_MAX_N:
         raise BudgetError(f"n={n} exceeds the automorphism budget {AUTOMORPHISM_MAX_N}")
     gens = _generator_chain(tabs, n)
@@ -258,20 +251,15 @@ def _automorphism_search(tabs, n: int):
     if total > 500_000:
         raise BudgetError(
             f"{total} candidate generator images exceed the search budget")
-    inv = _invariants(tabs, n)
-    candidates = [np.flatnonzero((inv == inv[g]).all(axis=1)).tolist()
-                  for g in gens]
     chain = tuple(gens)
-    for imgs in product(*candidates):
-        if len(set(imgs)) < len(imgs):
-            continue
+    for imgs in product(*_candidates(tabs, n, gens)):
         if imgs == chain:
             # a map is fixed by its values on a generating set
             yield tuple(range(n))
-            continue
-        phi = _extend(tabs, n, gens, imgs)
-        if _is_automorphism(tabs, n, phi):
-            yield tuple(int(x) for x in phi)
+        elif len(set(imgs)) == len(imgs):
+            phi = _extend(tabs, n, gens, imgs)
+            if _is_automorphism(tabs, n, phi):
+                yield tuple(int(x) for x in phi)
 
 
 def _nontrivial_automorphism(tabs, n: int):

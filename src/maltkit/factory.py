@@ -101,6 +101,9 @@ class DispatchTable:
             self._plans[n] = TablePlan(self, n)
         return self._plans[n]
 
+    def drop_plan(self, n: int) -> None:
+        self._plans.pop(n, None)
+
 
 def build_dispatch(closure: ClosurePartition, transversal: Transversal,
                    sig: Signature | None = None, order_rng=None) -> DispatchTable:
@@ -512,10 +515,21 @@ def _json_typed(value, kind: type, path: str):
     return value
 
 
+def _json_object(pairs) -> dict:
+    """A JSON object with no key repeated (json.loads keeps the last)."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ParseError(f"the algebra document repeats the key {json.dumps(key)[:40]}")
+        out[key] = value
+    return out
+
+
 def algebra_from_json(text: str) -> FiniteAlgebra:
     symbols, tables = [], []
     try:
-        doc = _json_typed(json.loads(text), dict, "the algebra document")
+        doc = json.loads(text, object_pairs_hook=_json_object)
+        doc = _json_typed(doc, dict, "the algebra document")
         n = _json_typed(doc["n"], int, "n")
         for name, body in _json_typed(doc["operations"], dict, "operations").items():
             path = f"operations.{name}"

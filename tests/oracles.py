@@ -5,9 +5,10 @@ Each oracle is an earlier, slower version of a decision that now lives
 once in maltkit.checkers or maltkit.census: a closure of every pair in
 turn, without pairs settled by reachability, the automorphism search over
 every injective image of the generator chain, each extended by
-propagation that rejects conflicting images, the product loop over B^d
-for subuniverses, the cross test that evaluates the pinned-on-T side
-first, the census subset test that gathers every draw of every subset at
+propagation that rejects conflicting images, the automorphism filter
+that also counts, per coordinate, the cells fixing each element there,
+the product loop over B^d for subuniverses, the cross test that
+evaluates the pinned-on-T side first, the census subset test that gathers every draw of every subset at
 once, the minority-pair search over single cells, and Szendrei's
 criterion built from these oracles, with crosses checked as generic
 relations.
@@ -268,6 +269,25 @@ def oracle_nontrivial_automorphism(tabs, n):
         if perm != ident:
             return perm
     return None
+
+
+def oracle_invariants(tabs, n):
+    """Per element (row), counts every automorphism preserves: per operation,
+    the cells with that value and, per coordinate, the cells fixing it there."""
+    cols = []
+    for tab, d in tabs:
+        grid = tab.reshape((n,) * d)
+        cols.append(np.bincount(tab, minlength=n))
+        for j in range(d):
+            at_j = np.arange(n).reshape((n,) + (1,) * (d - 1 - j))
+            cols.append(np.bincount(grid[grid == at_j], minlength=n))
+    return np.stack(cols, axis=1)
+
+
+def oracle_candidates(tabs, n, gens):
+    """Per generator, ascending, the elements with its oracle_invariants."""
+    inv = oracle_invariants(tabs, n)
+    return [np.flatnonzero((inv == inv[g]).all(axis=1)).tolist() for g in gens]
 
 
 def oracle_subset_family(ctx, flat, k):

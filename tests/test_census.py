@@ -2,6 +2,7 @@ import functools
 import io
 import json
 import math
+import weakref
 from pathlib import Path
 
 import pytest
@@ -386,6 +387,31 @@ def test_sweep_census(maltsev_spec):
     assert [r.n for r in reports] == [4, 6]
     # sub-seeds differ per n
     assert reports[0].master_seed != reports[1].master_seed
+
+
+def test_sweep_census_holds_one_size_at_a_time(maltsev_spec, monkeypatch):
+    """When a size's census starts, the previous size's context and table
+    plan are gone, and the sweep's reports are those of separate censuses."""
+    held, run = [], census.run_census
+
+    class HeldContext(census._NContext):
+        def __init__(self, *args):
+            super().__init__(*args)
+            held.append(weakref.ref(self))
+
+    def run_and_hold(exp, engine):
+        assert all(ref() is None for ref in held), exp.n
+        report = run(exp, engine)
+        held.append(weakref.ref(engine.dispatch.plan(exp.n)))
+        return report
+
+    monkeypatch.setattr(census, "_NContext", HeldContext)
+    monkeypatch.setattr(census, "run_census", run_and_hold)
+    props = ("subalg2", "subalgGT1", "minority2")
+    reports = sweep_census(maltsev_spec, [4, 6, 5], 40, 3, props)
+    assert len(held) == 6 and all(ref() is None for ref in held)
+    assert reports == [run(Experiment(maltsev_spec, n, 40, mix(3, n), props))
+                       for n in (4, 6, 5)]
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 
 from maltkit import checkers
 from maltkit.analysis import canonical_transversal
-from maltkit.checkers import (_any_cross, _closure_np, _cross_failures, _extend,
+from maltkit.checkers import (_any_cross, _automorphism_search, _candidates,
+                              _closure_np, _cross_failures, _extend,
                               _generator_chain, _is_automorphism,
                               _minority_pair, _minority_values,
                               _nontrivial_automorphism,
@@ -29,7 +30,8 @@ from maltkit.library import builtin_system
 from maltkit.terms import Signature, parse_system
 from oracles import (absorbing_algebra, affine_algebra, cross_only_algebra,
                      invariant_algebra,
-                     oracle_automorphism_search, oracle_closure,
+                     oracle_automorphism_search, oracle_candidates,
+                     oracle_closure,
                      oracle_cross_compatible, oracle_generator_chain,
                      oracle_is_idemprimal,
                      oracle_nontrivial_automorphism,
@@ -140,24 +142,14 @@ def test_subalgebras_of_size_witnesses():
 
 # ---------------------------------------------------------------------------
 # against the oracles (tests/oracles.py): every pair closed, without
-# reachability, and automorphism candidates without the invariant filter,
-# extended by propagation
+# reachability, and automorphism candidates without the value-count
+# filter, extended by propagation
 
 
-def reference_invariants(alg):
-    """Per element, the counts _invariants computes, by a loop over cells."""
-    n, rows = alg.n, []
-    for x in range(n):
-        row = []
-        for sym, table in enumerate(alg.tables):
-            cells = list(zip(itertools.product(range(n),
-                                               repeat=alg.signature.arity(sym)),
-                             table))
-            row.append(sum(v == x for _, v in cells))
-            for j in range(alg.signature.arity(sym)):
-                row.append(sum(u[j] == x == v for u, v in cells))
-        rows.append(tuple(row))
-    return rows
+def reference_value_counts(alg):
+    """Per element, how often each table takes it, by a loop over cells."""
+    return [tuple(sum(v == x for v in table) for table in alg.tables)
+            for x in range(alg.n)]
 
 
 @given(small_algebras())
@@ -247,7 +239,7 @@ def test_automorphism_candidates_are_the_invariant_classes(alg):
     tried, and no other; the chain's own images give the identity without
     extension."""
     tabs, n = _tabs(alg), alg.n
-    inv = reference_invariants(alg)
+    inv = reference_value_counts(alg)
     chain = _generator_chain(tabs, n)
     classes = [[y for y in range(n) if inv[y] == inv[g]] for g in chain]
     want = sum(len(set(imgs)) == len(imgs) for imgs in itertools.product(*classes))
@@ -259,6 +251,45 @@ def test_automorphism_candidates_are_the_invariant_classes(alg):
     assert len(tried) == want - 1
     assert tuple(chain) not in tried
     assert tuple(range(n)) in group
+
+
+def is_sublist(short, long):
+    """Whether short is long with some entries left out, in order."""
+    rest = iter(long)
+    return all(x in rest for x in short)
+
+
+def assert_candidates_cover_the_oracle(tabs, n, what) -> bool:
+    """Asserts that each generator's oracle candidates are a sublist of
+    its candidates; returns whether some generator has more."""
+    gens = _generator_chain(tabs, n)
+    got, old = _candidates(tabs, n, gens), oracle_candidates(tabs, n, gens)
+    assert len(got) == len(old) == len(gens), what
+    for g, new_g, old_g in zip(gens, got, old):
+        assert g in old_g and is_sublist(old_g, new_g), (what, g)
+    return got != old
+
+
+@given(small_algebras())
+@settings(max_examples=200, deadline=None)
+def test_value_counts_keep_every_oracle_candidate_in_order(alg):
+    """The value counts are part of the oracle's invariants, so each
+    generator's oracle candidates are a sublist of its candidates, and the
+    search tries the same automorphisms in the same order."""
+    assert_candidates_cover_the_oracle(_tabs(alg), alg.n, alg)
+
+
+def test_value_counts_keep_every_oracle_candidate_on_census_samples():
+    """As above, on census samples, where some generator keeps more
+    candidates than under the oracle (cyclic-2 at n = 12)."""
+    wider = 0
+    for args, n in ((("hagemann-mitschke", 3), 8), (("near-unanimity", 5), 6),
+                    (("maltsev",), 8), (("cyclic", 2), 12)):
+        ctx = CensusEngine(builtin_system(*args)).context(n)
+        for j in range(10):
+            tabs = ctx.realize_np(draw_values(mix(63, j), n, ctx.total_draws))
+            wider += assert_candidates_cover_the_oracle(tabs, n, (args, j))
+    assert wider
 
 
 def test_extension_stops_short_of_a_non_generating_set():
@@ -437,8 +468,9 @@ def test_cross_through_cell_views_matches_tables_and_oracle():
 
 def test_checkers_read_cell_views_as_tables():
     """Closures, pair generation, the generator chain, the extension of
-    generator images, subuniverse witnesses and minority pairs are the
-    same on the plan's cell views as on the realized tables."""
+    generator images, the automorphism test and search, subuniverse
+    witnesses and minority pairs are the same on the plan's cell views as
+    on the realized tables."""
     found = set()
     for args, n in ((("hagemann-mitschke", 3), 8), (("near-unanimity", 5), 6),
                     (("maltsev",), 8), (("majority",), 6), (("minority2",), 6)):
@@ -457,6 +489,14 @@ def test_checkers_read_cell_views_as_tables():
             imgs = tuple(np.random.default_rng(j).permutation(n)[gens])
             phi = _extend(tabs, n, gens, imgs)
             assert np.array_equal(_extend(views, n, gens, imgs), phi), (args, j)
+            group = list(_automorphism_search(tabs, n))
+            assert list(_automorphism_search(views, n)) == group, (args, j)
+            perm = _nontrivial_automorphism(tabs, n)
+            assert _nontrivial_automorphism(views, n) == perm, (args, j)
+            for psi in (phi, np.arange(n), np.roll(np.arange(n), 1)):
+                holds = _is_automorphism(tabs, n, psi)
+                assert _is_automorphism(views, n, psi) == holds, (args, j)
+                found.add(holds)
             for B in (closed, witness or (0, 1), (0, 1, 2)):
                 bad = _subuniverse(tabs, n, B)
                 assert _subuniverse(views, n, B) == bad, (args, j, B)

@@ -463,6 +463,8 @@ def test_check_rejects_empty_carrier(tmp_path, capsys):
     '{"n": 2, "operations": {"f": {"arity": 1, "table": [0, "one"]}}}',
     '{"n": 2, "operations": [1, 2]}',
     '{"n": 2.5, "operations": {"f": {"arity": 1, "table": [0, 1]}}}',
+    '{"n": 2, "operations": {"f": {"arity": 1, "table": [0, 1]}, '
+    '"f": {"arity": 2, "table": [0, 0, 1, 1]}}}',
 ])
 def test_check_rejects_malformed_algebra(content, tmp_path, capsys):
     path = tmp_path / "alg.json"

@@ -391,3 +391,12 @@ def test_algebra_json_rejects_bad_table():
             algebra_from_json(doc)
     with pytest.raises(ParseError, match="malformed"):
         algebra_from_json("[" * 100_000 + "]" * 100_000)
+    # json.loads would keep the last of a repeated key
+    f2 = '"f": {"arity": 1, "table": [0, 1]}'
+    for doc, key in [
+            ('{"n": 2, "operations": {%s, %s}}' % (f2, f2), "f"),
+            ('{"n": 2, "operations": {"f": {"arity": 1, "table": [1, 0], '
+             '"table": [0, 1]}}}', "table"),
+            ('{"n": 3, "n": 2, "operations": {%s}}' % f2, "n")]:
+        with pytest.raises(ParseError, match=f'^the algebra document repeats the key "{key}"$'):
+            algebra_from_json(doc)
