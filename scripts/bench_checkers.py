@@ -50,8 +50,9 @@ from pathlib import Path
 OUT = Path(__file__).resolve().parent.parent / "BENCH_checkers.json"
 CASES = ((("hagemann-mitschke", 3), 16), (("near-unanimity", 5), 14),
          (("maltsev",), 64), (("majority",), 32), (("day", 2), 16),
-         (("olsak",), 8), (("cyclic", 2), 12), (("minority2",), 12),
-         (("minority3",), 12), (("cube", 2), 8))
+         (("olsak",), 8), (("cyclic", 2), 8), (("cyclic", 2), 12),
+         (("cyclic", 2), 16), (("minority2",), 12), (("minority3",), 8),
+         (("minority3",), 12), (("minority3",), 16), (("cube", 2), 8))
 COMPILE_CASES = ((("hagemann-mitschke", 3), 16), (("near-unanimity", 5), 14),
                  (("olsak",), 10), (("near-unanimity", 5), 24),
                  (("near-unanimity", 5), 32), (("olsak",), 16))

@@ -471,7 +471,7 @@ def test_checkers_read_cell_views_as_tables():
     generator images, the automorphism test and search, subuniverse
     witnesses and minority pairs are the same on the plan's cell views as
     on the realized tables."""
-    found = set()
+    found, automorphic = set(), set()
     for args, n in ((("hagemann-mitschke", 3), 8), (("near-unanimity", 5), 6),
                     (("maltsev",), 8), (("majority",), 6), (("minority2",), 6)):
         ctx = CensusEngine(builtin_system(*args)).context(n)
@@ -496,7 +496,7 @@ def test_checkers_read_cell_views_as_tables():
             for psi in (phi, np.arange(n), np.roll(np.arange(n), 1)):
                 holds = _is_automorphism(tabs, n, psi)
                 assert _is_automorphism(views, n, psi) == holds, (args, j)
-                found.add(holds)
+                automorphic.add(holds)
             for B in (closed, witness or (0, 1), (0, 1, 2)):
                 bad = _subuniverse(tabs, n, B)
                 assert _subuniverse(views, n, B) == bad, (args, j, B)
@@ -506,6 +506,7 @@ def test_checkers_read_cell_views_as_tables():
                 assert _minority_pair(views, n, sym) == pair, (args, j, sym)
                 found.add(pair)
     assert {True, False, None} < found  # both subuniverse answers, some pair
+    assert automorphic == {True, False}
 
 
 def test_majority_cross_always_compatible():
