@@ -9,6 +9,8 @@ calls, and the median over the samples is recorded in ms:
 
 - subalgGT1, automorphism, cross: the census registry's table evaluator
   over its checker internal, on the realized tables;
+- minority2: the same for the minority-pair search on the first ternary
+  symbol, in the cases whose signature has one;
 - automorphism.extend_calls: not a time but the mean number of
   checkers._extend calls per sample in one automorphism evaluation, the
   candidate images tried beyond the generator chain's own;
@@ -95,6 +97,10 @@ def time_case(args, n) -> dict:
 
     out = {name: median_ms(lambda tabs: PROPERTIES[name].table(tabs, n, None), samples)
            for name in CHECKERS}
+    ternary = [s for s, (_, d) in enumerate(ctx.engine.spec.signature.symbols) if d == 3]
+    if ternary:
+        out["minority2"] = median_ms(
+            lambda tabs: PROPERTIES["minority2"].table(tabs, n, ternary[0]), samples)
     extend, calls = checkers._extend, []
     checkers._extend = lambda *a: calls.append(1) or extend(*a)
     for tabs in samples:

@@ -15,13 +15,13 @@ import io
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
 from . import checkers
 from .analysis import canonical_transversal
-from .closure import checked_closure
+from .closure import DEFAULT_MAX_VARS, checked_closure
 from .errors import BudgetError, DomainError
 from .factory import (
     TablePlan,
@@ -118,9 +118,9 @@ def parse_fixed_b(prop: str, n: int | None = None) -> tuple[int, ...]:
 class CensusEngine:
     """Everything derivable from the system alone, shared across samples."""
 
-    def __init__(self, spec: SystemSpec, **closure_opts):
+    def __init__(self, spec: SystemSpec, *, max_vars: int = DEFAULT_MAX_VARS):
         self.spec = spec
-        self.closure = checked_closure(spec, **closure_opts)
+        self.closure = checked_closure(spec, max_vars=max_vars)
         self.transversal = canonical_transversal(self.closure)
         self.params = parameters(self.transversal)
         self.dispatch = build_dispatch(self.closure, self.transversal)
@@ -211,33 +211,24 @@ def _in_rows(vals: np.ndarray, S: np.ndarray) -> np.ndarray:
 
 def _minority_symbolic(engine: CensusEngine, symbol: int):
     """Constraints for 'the pair {a,b} is a subuniverse and the designated
-    symbol restricts to the minority operation on it', read off the plan
-    at n = 2, whose draws are the keys over the symbolic pair (0,1).
-    Returns (feasible, forced, member) where forced is [(draw position at
-    n = 2, required 0/1)] for the minority cells and member the positions
-    of the other symbols' closure cells."""
-    sig = engine.spec.signature
-    if sig.arity(symbol) != 3:
+    symbol restricts to the minority operation on it', read off the
+    symbol's cells at n = 2, whose draws are the keys over the symbolic
+    pair (0,1).  Returns (feasible, forced, member) where forced is [(draw
+    position at n = 2, required 0/1)] for the symbol's non-constant cells
+    and member the other draw positions: each is read by another symbol's
+    cell, whose value must lie in the pair."""
+    if engine.spec.signature.arity(symbol) != 3:
         raise DomainError("minority2 needs a ternary designated symbol")
+    plan = engine.dispatch.plan(2)
     forced: dict[int, int] = {}
-    member: set[int] = set()
     feasible = True
-    want = checkers._minority_values(0, 1)
-    for sym, (pos, var_idx, var_arg, d) in enumerate(engine.dispatch.plan(2).symbols):
-        selected = dict(zip(var_idx.tolist(), var_arg.tolist()))
-        for idx, args in enumerate(product((0, 1), repeat=d)):
-            if len(set(args)) == 1:
-                continue  # idempotent cell, always fine
-            if sym == symbol:
-                req = want[args]
-                if idx in selected:
-                    feasible &= selected[idx] == req
-                else:
-                    feasible &= forced.setdefault(int(pos[idx]), req) == req
-            elif idx not in selected:  # a selected value is one of a, b already
-                member.add(int(pos[idx]))
-    member -= set(forced)  # forced values are already in the pair
-    return feasible, sorted(forced.items()), sorted(member)
+    want = list(checkers._minority_values(0, 1).values())
+    # cells 1..6 are the non-constant ones; pos < 0 marks a variable cell,
+    # which selects the argument pos + 2
+    for p, req in zip(plan.symbols[symbol][0][1:-1].tolist(), want[1:-1]):
+        feasible &= (p + 2 if p < 0 else forced.setdefault(p, req)) == req
+    member = [c for c in range(plan.oi.total) if c not in forced]
+    return feasible, sorted(forced.items()), member
 
 
 def minority_pair_probability(engine: CensusEngine, symbol: int, n: int):
@@ -510,13 +501,15 @@ def run_census(experiment: Experiment, engine: CensusEngine | None = None) -> Ce
 
 def sweep_census(spec: SystemSpec, n_list, samples: int, seed: int,
                  properties) -> list[CensusReport]:
-    """One census per n, sub-seeded by mix(seed, n), one n's plan held at a time."""
+    """One census per n, sub-seeded by mix(seed, n), one n's plan and draw
+    layout held at a time."""
     engine = CensusEngine(spec)
     out = []
     for n in n_list:
         exp = Experiment(spec, n, samples, mix(seed, n), tuple(properties))
         out.append(run_census(exp, engine))
         engine.dispatch.drop_plan(n)
+        orbit_index.cache_clear()
     return out
 
 

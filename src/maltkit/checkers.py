@@ -335,13 +335,10 @@ def _side_cells(n: int, d: int, pinned) -> tuple[int, np.ndarray]:
     """(stride, offsets): the cells of arity d pinned to a on the axes in
     pinned have the flat indices a * stride + offsets, the free axes in
     row-major order, so the first n offsets vary the last free axis."""
-    weight = n ** np.arange(d - 1, -1, -1)
-    offsets = np.zeros(1, dtype=np.int64)
-    for j in range(d):
-        if j not in pinned:
-            offsets = (offsets[:, None] + np.arange(n) * weight[j]).ravel()
+    offsets = _block([np.zeros(1, dtype=np.int64) if j in pinned else np.arange(n)
+                      for j in range(d)], n)
     offsets.flags.writeable = False
-    return int(weight[list(pinned)].sum()), offsets
+    return sum(n ** (d - 1 - j) for j in pinned), offsets
 
 
 def _side_holds(tab, n: int, d: int, pinned, a: np.ndarray) -> np.ndarray:
@@ -420,14 +417,15 @@ def has_minority_two_subalgebra(algebra: FiniteAlgebra, symbol) -> PropertyResul
 
 def _minority_pair(tabs, n: int, symbol: int):
     """The first pair (a, b), lexicographically, that is a subuniverse on
-    which the ternary symbol is the minority operation, or None."""
-    tab = tabs[symbol][0]
-    for a, b in combinations(range(n), 2):
-        want = list(_minority_values(a, b).values())
-        if np.array_equal(tab[_block([np.array([a, b])] * 3, n)], want) \
-                and _subuniverse(tabs, n, (a, b)) is None:
-            return a, b
-    return None
+    which the ternary symbol is the minority operation, or None.  Every
+    pair's 8 cells are read at once, and the pairs where all 8 match are
+    tested as subuniverses in turn."""
+    cube = _minority_values(0, 1)  # over {a, b} as {0, 1}
+    pairs = np.argwhere(np.arange(n)[:, None] < np.arange(n))  # a < b, lexicographic
+    cells = pairs[:, list(cube)] @ np.array([n * n, n, 1])
+    match = (tabs[symbol][0][cells] == pairs[:, list(cube.values())]).all(axis=1)
+    return next(((a, b) for a, b in pairs[match].tolist()
+                 if _subuniverse(tabs, n, (a, b)) is None), None)
 
 
 def is_compatible_relation(algebra: FiniteAlgebra, relation) -> PropertyResult:

@@ -182,24 +182,14 @@ class ClosurePartition:
         return "\n".join(lines) + "\n"
 
 
-_cache: dict[tuple[str, int, int], ClosurePartition] = {}
-
-
-def build_universe(sig: Signature, m: int, *,
-                   max_universe: int = DEFAULT_MAX_UNIVERSE) -> TermUniverse:
-    uni = TermUniverse(sig, m)
-    if uni.size > max_universe:
-        raise BudgetError(
-            f"universe of {uni.size} terms exceeds the budget {max_universe}")
-    return uni
+_cache: dict[tuple[str, int], ClosurePartition] = {}
 
 
 def compute_closure(spec: SystemSpec, m: int | None = None, *,
-                    max_vars: int = DEFAULT_MAX_VARS,
-                    max_universe: int = DEFAULT_MAX_UNIVERSE) -> ClosurePartition:
+                    max_vars: int = DEFAULT_MAX_VARS) -> ClosurePartition:
     """Closure over {x_1..x_m}; m defaults to the least count that is large
-    enough for Sigma.  Results are cached per (system text, m, universe
-    budget); the variable budget is checked before the cache is read."""
+    enough for Sigma.  Results are cached per (system text, m); the
+    variable budget is checked before the cache is read."""
     req = required_variable_count(spec)
     if m is None:
         m = req
@@ -208,12 +198,15 @@ def compute_closure(spec: SystemSpec, m: int | None = None, *,
     if m > max_vars:
         raise BudgetError(
             f"m={m} exceeds the variable budget {max_vars} (raise with --max-vars)")
-    key = (render_system(spec), m, max_universe)
+    key = (render_system(spec), m)
     cached = _cache.get(key)
     if cached is not None:
         return cached
 
-    universe = build_universe(spec.signature, m, max_universe=max_universe)
+    universe = TermUniverse(spec.signature, m)
+    if universe.size > DEFAULT_MAX_UNIVERSE:
+        raise BudgetError(f"universe of {universe.size} terms exceeds the "
+                          f"budget {DEFAULT_MAX_UNIVERSE}")
     clo = ClosurePartition(spec, universe)
     rng_vars = range(1, m + 1)
     for ident in spec.identities:
@@ -258,11 +251,10 @@ def entails(closure: ClosurePartition, s: LinearTerm, t: LinearTerm) -> bool:
 
 
 def entails_auto(spec: SystemSpec, s: LinearTerm, t: LinearTerm, *,
-                 max_vars: int = DEFAULT_MAX_VARS,
-                 max_universe: int = DEFAULT_MAX_UNIVERSE) -> bool:
+                 max_vars: int = DEFAULT_MAX_VARS) -> bool:
     """entails with m enlarged automatically to fit the query."""
     m = required_variable_count(spec, extra=Identity(s, t))
-    clo = compute_closure(spec, m, max_vars=max_vars, max_universe=max_universe)
+    clo = compute_closure(spec, m, max_vars=max_vars)
     return entails(clo, s, t)
 
 
@@ -276,11 +268,11 @@ def triviality_witness(closure: ClosurePartition, t: LinearTerm) -> int | None:
     return None
 
 
-def validate_assumptions(spec: SystemSpec, *, max_vars: int = DEFAULT_MAX_VARS,
-                         max_universe: int = DEFAULT_MAX_UNIVERSE) -> AssumptionReport:
+def validate_assumptions(spec: SystemSpec, *,
+                         max_vars: int = DEFAULT_MAX_VARS) -> AssumptionReport:
     """Check idempotence, satisfiability, and existence of a nontrivial
     linear term over the default m."""
-    clo = compute_closure(spec, max_vars=max_vars, max_universe=max_universe)
+    clo = compute_closure(spec, max_vars=max_vars)
     sat = is_satisfiable(clo)
     idem = True
     detail = []
@@ -299,12 +291,12 @@ def validate_assumptions(spec: SystemSpec, *, max_vars: int = DEFAULT_MAX_VARS,
     return AssumptionReport(idem, sat, nontrivial, clo.m, "; ".join(detail))
 
 
-def checked_closure(spec: SystemSpec, *, max_vars: int = DEFAULT_MAX_VARS,
-                    max_universe: int = DEFAULT_MAX_UNIVERSE) -> ClosurePartition:
+def checked_closure(spec: SystemSpec, *,
+                    max_vars: int = DEFAULT_MAX_VARS) -> ClosurePartition:
     """The closure over the default m of a system that meets the standing
     assumptions (idempotent, satisfiable, with a nontrivial linear term);
     DomainError names the ones that fail."""
-    report = validate_assumptions(spec, max_vars=max_vars, max_universe=max_universe)
+    report = validate_assumptions(spec, max_vars=max_vars)
     if not report.ok:
         raise DomainError(f"system fails the standing assumptions: {report.detail}")
-    return compute_closure(spec, max_vars=max_vars, max_universe=max_universe)
+    return compute_closure(spec, max_vars=max_vars)

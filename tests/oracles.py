@@ -8,8 +8,10 @@ every injective image of the generator chain, each extended by
 propagation that rejects conflicting images, the automorphism filter
 that also counts, per coordinate, the cells fixing each element there,
 the product loop over B^d for subuniverses, the cross test that
-evaluates the pinned-on-T side first, the census subset test that gathers every draw of every subset at
-once, the minority-pair search over single cells, and Szendrei's
+evaluates the pinned-on-T side first, the cross sides' offsets grown one
+axis at a time, the census subset test that gathers every draw of every subset at
+once, the minority-pair search over single cells, the census minority
+constraints walked over every symbol's cells at n = 2, and Szendrei's
 criterion built from these oracles, with crosses checked as generic
 relations.
 The class-info oracles are the analysis layer's earlier per-term version:
@@ -315,6 +317,17 @@ def oracle_cross_compatible(tabs, n, a):
     return True, None
 
 
+def oracle_side_cells(n, d, pinned):
+    """(stride, offsets) of checkers._side_cells, the free axes' offsets
+    grown one axis at a time from the row-major weights."""
+    weight = n ** np.arange(d - 1, -1, -1)
+    offsets = np.zeros(1, dtype=np.int64)
+    for j in range(d):
+        if j not in pinned:
+            offsets = (offsets[:, None] + np.arange(n) * weight[j]).ravel()
+    return int(weight[list(pinned)].sum()), offsets
+
+
 def oracle_any_cross(algebra):
     """The first a whose cross passes the generic relation check, or None."""
     return next((a for a in range(algebra.n) if is_compatible_relation(
@@ -345,6 +358,32 @@ def oracle_has_minority_two_subalgebra(algebra, symbol):
                     and oracle_is_subuniverse(algebra, (a, b)).holds:
                 return PropertyResult("minority-2-subalgebra", True, (a, b))
     return PropertyResult("minority-2-subalgebra", False)
+
+
+def oracle_minority_symbolic(engine, symbol):
+    """(feasible, forced, member) of census._minority_symbolic, by a walk
+    over every non-constant cell of every symbol at n = 2: the designated
+    symbol's cells force their draws, the other symbols' non-variable
+    cells make theirs members, less the forced ones."""
+    if engine.spec.signature.arity(symbol) != 3:
+        raise DomainError("minority2 needs a ternary designated symbol")
+    forced, member, feasible = {}, set(), True
+    want = {args: args.count(0) % 2 == 0 for args in itertools.product((0, 1), repeat=3)}
+    for sym, (pos, var_idx, var_arg, d) in enumerate(engine.dispatch.plan(2).symbols):
+        selected = dict(zip(var_idx.tolist(), var_arg.tolist()))
+        for idx, args in enumerate(itertools.product((0, 1), repeat=d)):
+            if len(set(args)) == 1:
+                continue  # idempotent cell, always fine
+            if sym == symbol:
+                req = int(want[args])
+                if idx in selected:
+                    feasible &= selected[idx] == req
+                else:
+                    feasible &= forced.setdefault(int(pos[idx]), req) == req
+            elif idx not in selected:  # a selected value is one of a, b already
+                member.add(int(pos[idx]))
+    member -= set(forced)  # forced values are already in the pair
+    return feasible, sorted(forced.items()), sorted(member)
 
 
 # ---------------------------------------------------------------------------

@@ -390,14 +390,16 @@ def test_sweep_census(maltsev_spec):
 
 
 def test_sweep_census_holds_one_size_at_a_time(maltsev_spec, monkeypatch):
-    """When a size's census starts, the previous size's context and table
-    plan are gone, and the sweep's reports are those of separate censuses."""
+    """When a size's census starts, the previous size's context, table
+    plan and draw layout are gone, and the sweep's reports are those of
+    separate censuses."""
     held, run = [], census.run_census
 
     class HeldContext(census._NContext):
         def __init__(self, *args):
             super().__init__(*args)
-            held.append(weakref.ref(self))
+            assert self.realizer().oi is self.oi  # one layout per size
+            held.extend((weakref.ref(self), weakref.ref(self.oi)))
 
     def run_and_hold(exp, engine):
         assert all(ref() is None for ref in held), exp.n
@@ -409,7 +411,7 @@ def test_sweep_census_holds_one_size_at_a_time(maltsev_spec, monkeypatch):
     monkeypatch.setattr(census, "run_census", run_and_hold)
     props = ("subalg2", "subalgGT1", "minority2")
     reports = sweep_census(maltsev_spec, [4, 6, 5], 40, 3, props)
-    assert len(held) == 6 and all(ref() is None for ref in held)
+    assert len(held) == 9 and all(ref() is None for ref in held)
     assert reports == [run(Experiment(maltsev_spec, n, 40, mix(3, n), props))
                        for n in (4, 6, 5)]
 

@@ -9,12 +9,12 @@ from hypothesis import given, settings
 
 from maltkit import checkers
 from maltkit.analysis import canonical_transversal
-from maltkit.checkers import (_any_cross, _automorphism_search, _candidates,
-                              _closure_np, _cross_failures, _extend,
+from maltkit.checkers import (PropertyResult, _any_cross, _automorphism_search,
+                              _candidates, _closure_np, _cross_failures, _extend,
                               _generator_chain, _is_automorphism,
                               _minority_pair, _minority_values,
                               _nontrivial_automorphism,
-                              _pair_generated_proper, _subuniverse, _tabs,
+                              _pair_generated_proper, _side_cells, _subuniverse, _tabs,
                               automorphisms, cross_compatible, cross_relation,
                               generated_subuniverse,
                               has_minority_two_subalgebra,
@@ -33,10 +33,10 @@ from oracles import (absorbing_algebra, affine_algebra, cross_only_algebra,
                      oracle_automorphism_search, oracle_candidates,
                      oracle_closure,
                      oracle_cross_compatible, oracle_generator_chain,
-                     oracle_is_idemprimal,
+                     oracle_has_minority_two_subalgebra, oracle_is_idemprimal,
                      oracle_nontrivial_automorphism,
-                     oracle_pair_generated_proper, random_algebra,
-                     small_algebras)
+                     oracle_pair_generated_proper, oracle_side_cells,
+                     random_algebra, small_algebras)
 
 
 SYSTEMS_DIR = Path(__file__).resolve().parent.parent / "src" / "maltkit" / "systems"
@@ -419,6 +419,19 @@ def test_cross_decoupling_matches_relation_check():
             assert fast == slow, (n, a)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_side_cells_match_oracle(n):
+    for d in range(1, 6):
+        for k in range(d + 1):
+            for pinned in itertools.combinations(range(d), k):
+                stride, offsets = _side_cells(n, d, pinned)
+                want_stride, want = oracle_side_cells(n, d, pinned)
+                assert stride == want_stride and type(stride) is int, (d, pinned)
+                assert offsets.dtype == want.dtype and np.array_equal(offsets, want), \
+                    (d, pinned)
+                assert not offsets.flags.writeable
+
+
 def test_cross_compatible_rejects_elements_outside_the_carrier():
     """The cross test reads the cells at a * stride + offsets, so a
     negative a would read other elements' cells; it is refused first."""
@@ -632,6 +645,48 @@ def test_minority_two_subalgebra_on_minority_model():
     alg = sampled("minority1", 4, mix(5, 0))
     res = has_minority_two_subalgebra(alg, "f")
     assert res.holds
+
+
+def minority_table(n, a, b, rest):
+    """A ternary table that is the minority operation on {a, b} and takes
+    the value rest on every other cell."""
+    table = [rest] * n ** 3
+    for args, v in _minority_values(a, b).items():
+        table[(args[0] * n + args[1]) * n + args[2]] = v
+    return table
+
+
+def test_minority_two_subalgebra_small_carriers():
+    sig = Signature((("f", 3),))
+    alg = FiniteAlgebra(1, sig, ((0,),))
+    assert has_minority_two_subalgebra(alg, "f") == PropertyResult("minority-2-subalgebra", False)
+    assert oracle_has_minority_two_subalgebra(alg, 0).holds is False
+    minority = FiniteAlgebra(2, sig, (tuple(minority_table(2, 0, 1, 0)),))
+    res = has_minority_two_subalgebra(minority, "f")
+    assert (res.holds, res.witness) == (True, (0, 1))
+    assert oracle_has_minority_two_subalgebra(minority, 0) == res
+    # the majority operation on {0, 1} is idempotent but no minority
+    majority = FiniteAlgebra(2, sig, (tuple(int(sum(args) >= 2) for args in
+                                            itertools.product((0, 1), repeat=3)),))
+    assert not has_minority_two_subalgebra(majority, "f").holds
+    assert not oracle_has_minority_two_subalgebra(majority, 0).holds
+
+
+def test_minority_two_subalgebra_reads_the_constant_cells():
+    """check accepts non-idempotent algebras, so the constant cells of a
+    pair are part of the minority pattern: f(0,0,0) = 1 stays in {0, 1}
+    but breaks minority there, and no other pair is one."""
+    sig = Signature((("f", 3), ("g", 2)))
+    g = tuple(min(a, b) for a in range(3) for b in range(3))
+    table = minority_table(3, 0, 1, 2)
+    alg = FiniteAlgebra(3, sig, (tuple(table), g))
+    assert has_minority_two_subalgebra(alg, "f").witness == (0, 1)
+    table[0] = 1
+    broken = FiniteAlgebra(3, sig, (tuple(table), g))
+    assert is_subuniverse(broken, (0, 1)).holds
+    assert has_minority_two_subalgebra(broken, "f") == \
+        PropertyResult("minority-2-subalgebra", False)
+    assert not oracle_has_minority_two_subalgebra(broken, 0).holds
 
 
 def test_minority_two_subalgebra_requires_ternary():

@@ -17,7 +17,7 @@ from maltkit.closure import compute_closure
 from maltkit.factory import (FiniteAlgebra, build_dispatch, draw_values, mix,
                              realize, sample_mfamily)
 from maltkit.terms import parse_system
-from oracles import pattern_of
+from oracles import oracle_minority_symbolic, pattern_of
 
 SYSTEMS_DIR = Path(__file__).resolve().parent.parent / "src" / "maltkit" / "systems"
 
@@ -190,6 +190,18 @@ def test_gather_arrays_match_reference(name):
                                                len(forced)))
                 assert np.array_equal(FV, rows([[ab[req] for *_, req in forced]
                                                 for ab in pairs], len(forced)))
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in SYSTEMS_DIR.glob("*.mlt")))
+def test_minority_symbolic_matches_oracle(name):
+    """The designated symbol's 8 cells at n = 2 give what the walk over
+    every symbol's cells gives, on every ternary symbol of every fixture."""
+    spec, engine = fixture(name)
+    for symbol, (_, d) in enumerate(spec.signature.symbols):
+        if d == 3:
+            got = _minority_symbolic(engine, symbol)
+            assert got == oracle_minority_symbolic(engine, symbol), symbol
+            assert type(got[0]) is bool
 
 
 @pytest.mark.parametrize("name", FIXTURES)
