@@ -128,7 +128,7 @@ def _pair_generated_proper(tabs, n: int):
     S = _closure_np(tabs, n, (0, 1))
     if len(S) < n:
         return [int(x) for x in S]
-    a, b = np.triu_indices(n, 1)
+    a, b = _pairs(n).T
     V = np.concatenate([a[:, None], b[:, None]]
                        + [tab[_pair_cells(n, d)] for tab, d in tabs], axis=1)
     if V.shape[1] > n:
@@ -136,7 +136,7 @@ def _pair_generated_proper(tabs, n: int):
         held = np.zeros((len(V), n), dtype=bool)
         held[np.arange(len(V))[:, None], V] = True
         V = np.where(held, np.arange(n), a[:, None])
-    I, J = np.triu_indices(V.shape[1], 1)
+    I, J = _pairs(V.shape[1]).T
     generating = np.zeros((n, n), dtype=bool)
     done = np.zeros(len(a), dtype=bool)
     p = 0
@@ -156,13 +156,21 @@ def _pair_generated_proper(tabs, n: int):
 
 
 @lru_cache(maxsize=16)
+def _pairs(n: int) -> np.ndarray:
+    """The pairs a < b of range(n), one row each, in lexicographic
+    (combinations) order; read-only."""
+    pairs = np.stack(np.triu_indices(n, 1), axis=1)
+    pairs.flags.writeable = False
+    return pairs
+
+
+@lru_cache(maxsize=16)
 def _pair_cells(n: int, d: int) -> np.ndarray:
     """Row i: the flat indices of the arity-d cells over the i-th pair
-    {a, b} in combinations order, both a and b among the arguments (the
-    two constant cells are left out)."""
-    pairs = np.stack(np.triu_indices(n, 1), axis=1)
+    {a, b} of _pairs(n), both a and b among the arguments (the two
+    constant cells are left out)."""
     bits = (np.arange(1, (1 << d) - 1)[:, None] >> np.arange(d - 1, -1, -1)) & 1
-    cells = pairs[:, bits] @ n ** np.arange(d - 1, -1, -1)
+    cells = _pairs(n)[:, bits] @ n ** np.arange(d - 1, -1, -1)
     cells.flags.writeable = False
     return cells
 
@@ -421,7 +429,7 @@ def _minority_pair(tabs, n: int, symbol: int):
     pair's 8 cells are read at once, and the pairs where all 8 match are
     tested as subuniverses in turn."""
     cube = _minority_values(0, 1)  # over {a, b} as {0, 1}
-    pairs = np.argwhere(np.arange(n)[:, None] < np.arange(n))  # a < b, lexicographic
+    pairs = _pairs(n)
     cells = pairs[:, list(cube)] @ np.array([n * n, n, 1])
     match = (tabs[symbol][0][cells] == pairs[:, list(cube.values())]).all(axis=1)
     return next(((a, b) for a, b in pairs[match].tolist()

@@ -96,14 +96,12 @@ def _analysis_payload(spec, max_vars: int) -> dict:
         payload["detail"] = report.detail
         return payload
     if not report.satisfiable:
-        # two distinct variables merged; report the witness pair
-        names = variable_names(spec.signature, closure.universe.m)
-        merged = []
-        for v in range(2, closure.universe.m + 1):
-            if closure.find(v - 1) == closure.find(0):
-                merged = [names[0], names[v - 1]]
-                break
-        payload["witness"] = merged
+        # two distinct variables merged; x1 roots its class, so report it
+        # with the next variable there
+        m = closure.universe.m
+        names = variable_names(spec.signature, m)
+        with_x1 = [names[v] for v, r in enumerate(closure.roots()[:m].tolist()) if r == 0]
+        payload["witness"] = with_x1[:2] if len(with_x1) > 1 else []
         return payload
     trans = canonical_transversal(closure)
     pars = params_mod.parameters(trans)

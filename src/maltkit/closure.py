@@ -261,11 +261,8 @@ def entails_auto(spec: SystemSpec, s: LinearTerm, t: LinearTerm, *,
 def triviality_witness(closure: ClosurePartition, t: LinearTerm) -> int | None:
     """The variable sharing t's class, if any (at most one when the system
     is satisfiable)."""
-    root = closure.class_of(t)
-    for v in range(closure.m):
-        if closure.find(v) == root:
-            return v + 1
-    return None
+    root = closure.class_of(t)  # the least member: a variable if any is there
+    return root + 1 if root < closure.m else None
 
 
 def validate_assumptions(spec: SystemSpec, *,

@@ -4,17 +4,18 @@ Each family generates .mlt source text and parses it, so builtin systems
 go through the same normalization as user files and render back to the
 exact text they were built from.
 
-expected_verdict records the published limiting behaviour where one is
-known.  For a few families (day, gumm, sd-join, parallelogram) the
-literature fixes only the shape of the term condition, not a unique
-identity list; our encodings of those are flagged advisory=True so
-downstream tests can treat a verdict mismatch as a warning rather than
-an error.
+Each FAMILIES entry is the one record of its family, down to the published
+limiting verdict and the shipped fixtures.  For a few families (day, gumm,
+sd-join, parallelogram) the literature fixes only the shape of the term
+condition, not a unique identity list; our encodings of those are flagged
+advisory=True so downstream tests can treat a verdict mismatch as a
+warning rather than an error.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 from .errors import DomainError
 from .terms import SystemSpec, parse_system
@@ -26,11 +27,6 @@ def _mlt(signature: list[tuple[str, int]], identities: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _need(cond: bool, msg: str):
-    if not cond:
-        raise DomainError(msg)
-
-
 def _maltsev():
     return _mlt([("f", 3)], ["f(x,y,y) = x", "f(x,x,y) = y"])
 
@@ -40,7 +36,6 @@ def _commutative_maltsev():
 
 
 def _hagemann_mitschke(k: int):
-    _need(k >= 2, "hagemann-mitschke needs k >= 2")
     syms = [(f"q{i}", 3) for i in range(1, k)]
     idents = ["x = q1(x,y,y)"]
     idents += [f"q{i}(x,x,y) = q{i + 1}(x,y,y)" for i in range(1, k - 1)]
@@ -49,7 +44,6 @@ def _hagemann_mitschke(k: int):
 
 
 def _jonsson(k: int):
-    _need(k >= 2, "jonsson needs k >= 2")
     syms = [(f"t{i}", 3) for i in range(k + 1)]
     idents = ["t0(x,y,z) = x", f"t{k}(x,y,z) = z"]
     idents += [f"t{i}(x,y,x) = x" for i in range(k + 1)]
@@ -62,7 +56,6 @@ def _jonsson(k: int):
 
 
 def _day(k: int):
-    _need(k >= 2, "day needs k >= 2")
     syms = [(f"m{i}", 4) for i in range(k + 1)]
     idents = ["m0(x,y,z,w) = x", f"m{k}(x,y,z,w) = w"]
     idents += [f"m{i}(x,y,y,x) = x" for i in range(k + 1)]
@@ -75,7 +68,6 @@ def _day(k: int):
 
 
 def _gumm(k: int):
-    _need(k >= 0, "gumm needs k >= 0")
     syms = [(f"d{i}", 3) for i in range(k + 1)] + [("p", 3)]
     idents = ["d0(x,y,z) = x"]
     idents += [f"d{i}(x,y,x) = x" for i in range(k + 1)]
@@ -90,7 +82,6 @@ def _gumm(k: int):
 
 
 def _sd_join(k: int):
-    _need(k >= 2, "sd-join needs k >= 2")
     syms = [(f"d{i}", 3) for i in range(k + 1)]
     idents = ["d0(x,y,z) = x", f"d{k}(x,y,z) = z"]
     for i in range(k):
@@ -103,17 +94,12 @@ def _sd_join(k: int):
 
 
 def _near_unanimity(k: int, sym: str = "g"):
-    _need(k >= 3, "near-unanimity needs k >= 3")
     idents = []
     for i in range(k):
         args = ["x"] * k
         args[i] = "y"
         idents.append(f"{sym}({','.join(args)}) = x")
     return _mlt([(sym, k)], idents)
-
-
-def _majority():
-    return _near_unanimity(3, sym="m")
 
 
 def _minority(level: int):
@@ -137,7 +123,6 @@ def _pixley_pair():
 
 
 def _weak_near_unanimity(k: int):
-    _need(k >= 3, "weak-nu needs k >= 3")
     def term(i):
         args = ["x"] * k
         args[i] = "y"
@@ -148,7 +133,6 @@ def _weak_near_unanimity(k: int):
 
 
 def _cyclic(k: int):
-    _need(k >= 2, "cyclic needs k >= 2")
     vars_ = [f"v{i}" for i in range(1, k + 1)]
     idents = [f"c({','.join(['x'] * k)}) = x",
               f"c({','.join(vars_)}) = c({','.join(vars_[1:] + vars_[:1])})"]
@@ -156,7 +140,6 @@ def _cyclic(k: int):
 
 
 def _cube(k: int):
-    _need(k >= 2, "cube needs k >= 2")
     # positions are the binary k-tuples except all-ones, in lex order
     positions = []
     for code in range(2 ** k):
@@ -172,7 +155,6 @@ def _cube(k: int):
 
 
 def _edge(k: int):
-    _need(k >= 2, "edge needs k >= 2")
     arity = k + 1
     rows = [(0, 1), (0, 2)] + [(i,) for i in range(3, arity)]
     idents = []
@@ -183,7 +165,6 @@ def _edge(k: int):
 
 
 def _parallelogram(m: int, n: int):
-    _need(m >= 1 and n >= 1, "parallelogram needs m >= 1 and n >= 1")
     arity = m + n + 3
     rows = [(i, i + 1) for i in range(m + 1)]
     rows.append((m, m + 2))
@@ -211,40 +192,66 @@ def _olsak():
                  "t(x,y,y,y,x,x) = t(y,y,x,x,x,y)"])
 
 
+def _ks(lo: int, hi: int) -> tuple[tuple[int], ...]:
+    """The parameter tuples (k,) for k = lo..hi."""
+    return tuple((k,) for k in range(lo, hi + 1))
+
+
 @dataclass(frozen=True)
 class BuiltinFamily:
+    """Everything recorded about one builtin family."""
     name: str
-    params: tuple[str, ...]          # () or ("k",) or ("m", "n")
-    generator: object                # callable producing .mlt text
-    advisory: bool                   # encoding is a best-effort reading
+    generator: Callable[..., str]    # parameters -> .mlt text
+    verdict: Callable[..., bool]     # parameters -> published a.s. idemprimality
+    params: dict[str, int] = field(default_factory=dict)  # name -> least value
+    shipped: tuple[tuple[int, ...], ...] = ((),)  # parameters of the .mlt fixtures
+    advisory: bool = False           # encoding is a best-effort reading
 
 
-FAMILIES: dict[str, BuiltinFamily] = {
-    fam.name: fam for fam in (
-        BuiltinFamily("maltsev", (), _maltsev, False),
-        BuiltinFamily("commutative-maltsev", (), _commutative_maltsev, False),
-        BuiltinFamily("hagemann-mitschke", ("k",), _hagemann_mitschke, False),
-        BuiltinFamily("jonsson", ("k",), _jonsson, False),
-        BuiltinFamily("day", ("k",), _day, True),
-        BuiltinFamily("gumm", ("k",), _gumm, True),
-        BuiltinFamily("sd-join", ("k",), _sd_join, True),
-        BuiltinFamily("near-unanimity", ("k",), _near_unanimity, False),
-        BuiltinFamily("majority", (), _majority, False),
-        BuiltinFamily("minority1", (), lambda: _minority(1), False),
-        BuiltinFamily("minority2", (), lambda: _minority(2), False),
-        BuiltinFamily("minority3", (), lambda: _minority(3), False),
-        BuiltinFamily("two-thirds-minority", (), _two_thirds_minority, False),
-        BuiltinFamily("pixley-pair", (), _pixley_pair, False),
-        BuiltinFamily("weak-nu", ("k",), _weak_near_unanimity, False),
-        BuiltinFamily("cyclic", ("k",), _cyclic, False),
-        BuiltinFamily("cube", ("k",), _cube, False),
-        BuiltinFamily("edge", ("k",), _edge, False),
-        BuiltinFamily("parallelogram", ("m", "n"), _parallelogram, True),
-        BuiltinFamily("siggers4", (), _siggers4, False),
-        BuiltinFamily("siggers6", (), _siggers6, False),
-        BuiltinFamily("olsak", (), _olsak, False),
-    )
-}
+FAMILIES: dict[str, BuiltinFamily] = {fam.name: fam for fam in (
+    BuiltinFamily("maltsev", _maltsev, lambda: False),
+    BuiltinFamily("commutative-maltsev", _commutative_maltsev, lambda: False),
+    BuiltinFamily("hagemann-mitschke", _hagemann_mitschke, lambda k: k >= 3,
+                  {"k": 2}, _ks(2, 5)),
+    BuiltinFamily("jonsson", _jonsson, lambda k: k >= 4, {"k": 2}, _ks(2, 5)),
+    BuiltinFamily("day", _day, lambda k: k >= 2, {"k": 2}, _ks(2, 5), advisory=True),
+    BuiltinFamily("gumm", _gumm, lambda k: k >= 1, {"k": 0}, _ks(0, 5), advisory=True),
+    BuiltinFamily("sd-join", _sd_join, lambda k: k >= 4, {"k": 2}, _ks(2, 5),
+                  advisory=True),
+    BuiltinFamily("near-unanimity", _near_unanimity, lambda k: k >= 4,
+                  {"k": 3}, _ks(3, 5)),
+    BuiltinFamily("majority", lambda: _near_unanimity(3, sym="m"), lambda: False),
+    BuiltinFamily("minority1", lambda: _minority(1), lambda: False),
+    BuiltinFamily("minority2", lambda: _minority(2), lambda: False),
+    BuiltinFamily("minority3", lambda: _minority(3), lambda: False),
+    BuiltinFamily("two-thirds-minority", _two_thirds_minority, lambda: False),
+    BuiltinFamily("pixley-pair", _pixley_pair, lambda: False),
+    BuiltinFamily("weak-nu", _weak_near_unanimity, lambda k: k >= 4,
+                  {"k": 3}, _ks(3, 5)),
+    BuiltinFamily("cyclic", _cyclic, lambda k: k >= 4, {"k": 2}, _ks(2, 5)),
+    BuiltinFamily("cube", _cube, lambda k: k >= 3, {"k": 2}, _ks(2, 3)),
+    BuiltinFamily("edge", _edge, lambda k: k >= 3, {"k": 2}, _ks(2, 5)),
+    BuiltinFamily("parallelogram", _parallelogram, lambda m, n: True,
+                  {"m": 1, "n": 1}, ((1, 1), (1, 2), (2, 1)), advisory=True),
+    BuiltinFamily("siggers4", _siggers4, lambda: True),
+    BuiltinFamily("siggers6", _siggers6, lambda: True),
+    BuiltinFamily("olsak", _olsak, lambda: True),
+)}
+
+
+def _family(family: str, args: tuple[int, ...]) -> BuiltinFamily:
+    """The entry of a builtin family, once args are checked against it."""
+    if family not in FAMILIES:
+        raise DomainError(f"unknown builtin family {family!r}; "
+                          f"known: {', '.join(sorted(FAMILIES))}")
+    fam = FAMILIES[family]
+    if len(args) != len(fam.params):
+        want = ", ".join(fam.params) if fam.params else "no parameters"
+        raise DomainError(f"builtin {family!r} takes {want}")
+    if any(a < lo for a, lo in zip(args, fam.params.values())):
+        raise DomainError(f"{family} needs " + " and ".join(
+            f"{p} >= {lo}" for p, lo in fam.params.items()))
+    return fam
 
 
 def builtin_label(family: str, *args: int) -> str:
@@ -255,14 +262,7 @@ def builtin_label(family: str, *args: int) -> str:
 
 def builtin_mlt(family: str, *args: int) -> str:
     """The .mlt source text of a builtin system."""
-    if family not in FAMILIES:
-        raise DomainError(f"unknown builtin family {family!r}; "
-                          f"known: {', '.join(sorted(FAMILIES))}")
-    fam = FAMILIES[family]
-    if len(args) != len(fam.params):
-        want = ", ".join(fam.params) if fam.params else "no parameters"
-        raise DomainError(f"builtin {family!r} takes {want}")
-    return fam.generator(*args)
+    return _family(family, args).generator(*args)
 
 
 def builtin_system(family: str, *args: int) -> SystemSpec:
@@ -276,54 +276,13 @@ class ExpectedVerdict:
     advisory: bool
 
 
-def expected_verdict(family: str, *args: int) -> ExpectedVerdict | None:
-    """Published limiting idemprimality for a builtin instance, or None if
-    no value is on record for those parameters."""
-    if family not in FAMILIES:
-        raise DomainError(f"unknown builtin family {family!r}")
-    adv = FAMILIES[family].advisory
-    k = args[0] if args else None
-    table = {
-        "maltsev": lambda: False,
-        "commutative-maltsev": lambda: False,
-        "hagemann-mitschke": lambda: k >= 3,
-        "jonsson": lambda: k >= 4,
-        "day": lambda: k >= 2,
-        "gumm": lambda: k >= 1,
-        "sd-join": lambda: k >= 4,
-        "near-unanimity": lambda: k >= 4,
-        "majority": lambda: False,
-        "minority1": lambda: False,
-        "minority2": lambda: False,
-        "minority3": lambda: False,
-        "two-thirds-minority": lambda: False,
-        "pixley-pair": lambda: False,
-        "weak-nu": lambda: k >= 4,
-        "cyclic": lambda: k >= 4,
-        "cube": lambda: k >= 3,
-        "edge": lambda: k >= 3,
-        "parallelogram": lambda: True,
-        "siggers4": lambda: True,
-        "siggers6": lambda: True,
-        "olsak": lambda: True,
-    }
-    return ExpectedVerdict(bool(table[family]()), adv)
+def expected_verdict(family: str, *args: int) -> ExpectedVerdict:
+    """Published limiting idemprimality for a builtin instance."""
+    fam = _family(family, args)
+    return ExpectedVerdict(fam.verdict(*args), fam.advisory)
 
 
 def default_instances() -> list[tuple[str, tuple[int, ...]]]:
     """Representative in-budget parameter choices, one list entry per
     builtin instance shipped as a .mlt fixture."""
-    out: list[tuple[str, tuple[int, ...]]] = []
-    for fam in FAMILIES.values():
-        if not fam.params:
-            out.append((fam.name, ()))
-        elif fam.params == ("k",):
-            lo = {"hagemann-mitschke": 2, "jonsson": 2, "day": 2, "gumm": 0,
-                  "sd-join": 2, "near-unanimity": 3, "weak-nu": 3,
-                  "cyclic": 2, "cube": 2, "edge": 2}[fam.name]
-            hi = {"cube": 3, "near-unanimity": 5, "weak-nu": 5, "cyclic": 5,
-                  "edge": 5}.get(fam.name, 5)
-            out.extend((fam.name, (k,)) for k in range(lo, hi + 1))
-        else:
-            out.extend((fam.name, (m, n)) for m, n in ((1, 1), (1, 2), (2, 1)))
-    return out
+    return [(fam.name, args) for fam in FAMILIES.values() for args in fam.shipped]

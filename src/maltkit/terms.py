@@ -273,12 +273,10 @@ def parse_system(text: str, name: str = "") -> SystemSpec:
             raise ParseError(f"unrecognized line: {line!r}", line=lineno)
     if not decls:
         raise ParseError("no signature declared")
-    seen = set()
-    for nm, _ in decls:
-        if nm in seen:
-            raise ParseError(f"duplicate symbol {nm!r}")
-        seen.add(nm)
-    sig = Signature(tuple(decls))
+    try:
+        sig = Signature(tuple(decls))
+    except ValueError as exc:  # a duplicate symbol; _parse_decl checked the rest
+        raise ParseError(str(exc)) from None
     identities = tuple(parse_identity(body, sig, lineno) for lineno, body in identity_lines)
     return SystemSpec(sig, identities, name=name)
 

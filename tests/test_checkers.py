@@ -14,7 +14,7 @@ from maltkit.checkers import (PropertyResult, _any_cross, _automorphism_search,
                               _generator_chain, _is_automorphism,
                               _minority_pair, _minority_values,
                               _nontrivial_automorphism,
-                              _pair_generated_proper, _side_cells, _subuniverse, _tabs,
+                              _pair_generated_proper, _pairs, _side_cells, _subuniverse, _tabs,
                               automorphisms, cross_compatible, cross_relation,
                               generated_subuniverse,
                               has_minority_two_subalgebra,
@@ -122,6 +122,14 @@ def test_generated_subuniverse_rejects_elements_outside_the_carrier():
         with pytest.raises(DomainError, match="generators"):
             generated_subuniverse(alg, G)
 
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_pairs_are_lexicographic_and_read_only(n):
+    pairs = _pairs(n)
+    assert np.array_equal(pairs, np.stack(np.triu_indices(n, 1), axis=1))
+    assert pairs.shape == (n * (n - 1) // 2, 2)
+    assert not pairs.flags.writeable
 
 def test_pair_shortcut_matches_exhaustive():
     """has_proper_subalgebra_size_gt1 agrees with brute-force subset search."""

@@ -58,6 +58,21 @@ def test_analyze_unsatisfiable(tmp_path, capsys):
     assert "unsatisfiable" in captured.err
 
 
+def test_analyze_unsatisfiable_witness_names_x_and_its_class(tmp_path, capsys):
+    p = tmp_path / "bad.mlt"
+    p.write_text("signature g/2, h/2\nidentity g(x,y) = h(x,y)\n"
+                 "identity g(x,y) = x\nidentity h(x,y) = y\n")
+    assert main(["analyze", str(p), "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["witness"] == ["x", "y"]
+
+
+def test_duplicate_symbol_is_a_parse_error(tmp_path, capsys):
+    p = tmp_path / "dup.mlt"
+    p.write_text("signature f/2, f/3\n")
+    assert main(["analyze", str(p)]) == 2
+    assert capsys.readouterr().err.strip() == "error: duplicate symbol 'f'"
+
+
 def test_analyze_parse_error(tmp_path, capsys):
     p = tmp_path / "syntax.mlt"
     p.write_text("signature f/3\nidentity f(x,y = x\n")

@@ -97,6 +97,13 @@ def test_triviality_witness(cmaltsev_spec, cmaltsev_closure):
                               term("f(x,y,x)", cmaltsev_spec)) is None
 
 
+def test_triviality_witness_unsatisfiable_is_least_variable():
+    spec = parse_system("signature f/2\nidentity f(x,y) = x\nidentity f(x,y) = y\n")
+    clo = compute_closure(spec)
+    assert triviality_witness(clo, term("f(y,x)", spec)) == 1
+    assert triviality_witness(clo, term("y", spec)) == 1
+
+
 def test_unsatisfiable_system():
     spec = parse_system("signature f/3\nidentity f(x,y,z) = x\n"
                         "identity f(x,y,z) = z\n")

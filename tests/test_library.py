@@ -130,6 +130,89 @@ def test_builtin_assumptions_and_verdict(fam, args):
         assert got == exp.almost_surely, (fam, args)
 
 
+
+# expected_verdict of every shipped instance, in default_instances order:
+# label -> (almost_surely, advisory).  Checked against the literal so that
+# a mis-copied verdict shows even where the test above xfails (advisory).
+PUBLISHED_VERDICTS = {
+    'maltsev': (False, False),
+    'commutative-maltsev': (False, False),
+    'hagemann-mitschke-2': (False, False),
+    'hagemann-mitschke-3': (True, False),
+    'hagemann-mitschke-4': (True, False),
+    'hagemann-mitschke-5': (True, False),
+    'jonsson-2': (False, False),
+    'jonsson-3': (False, False),
+    'jonsson-4': (True, False),
+    'jonsson-5': (True, False),
+    'day-2': (True, True),
+    'day-3': (True, True),
+    'day-4': (True, True),
+    'day-5': (True, True),
+    'gumm-0': (False, True),
+    'gumm-1': (True, True),
+    'gumm-2': (True, True),
+    'gumm-3': (True, True),
+    'gumm-4': (True, True),
+    'gumm-5': (True, True),
+    'sd-join-2': (False, True),
+    'sd-join-3': (False, True),
+    'sd-join-4': (True, True),
+    'sd-join-5': (True, True),
+    'near-unanimity-3': (False, False),
+    'near-unanimity-4': (True, False),
+    'near-unanimity-5': (True, False),
+    'majority': (False, False),
+    'minority1': (False, False),
+    'minority2': (False, False),
+    'minority3': (False, False),
+    'two-thirds-minority': (False, False),
+    'pixley-pair': (False, False),
+    'weak-nu-3': (False, False),
+    'weak-nu-4': (True, False),
+    'weak-nu-5': (True, False),
+    'cyclic-2': (False, False),
+    'cyclic-3': (False, False),
+    'cyclic-4': (True, False),
+    'cyclic-5': (True, False),
+    'cube-2': (False, False),
+    'cube-3': (True, False),
+    'edge-2': (False, False),
+    'edge-3': (True, False),
+    'edge-4': (True, False),
+    'edge-5': (True, False),
+    'parallelogram-1-1': (True, True),
+    'parallelogram-1-2': (True, True),
+    'parallelogram-2-1': (True, True),
+    'siggers4': (True, False),
+    'siggers6': (True, False),
+    'olsak': (True, False),
+}
+
+
+def test_expected_verdict_table():
+    got = {builtin_label(fam, *args): (v.almost_surely, v.advisory)
+           for fam, args in default_instances()
+           for v in [expected_verdict(fam, *args)]}
+    assert list(got) == list(PUBLISHED_VERDICTS)
+    assert got == PUBLISHED_VERDICTS
+
+
+@pytest.mark.parametrize("fam,args", [
+    ("frobnicator", ()),           # unknown family
+    ("jonsson", ()),               # missing parameter
+    ("maltsev", (3,)),             # extra parameter
+    ("parallelogram", (1,)),       # one of two parameters
+    ("jonsson", (1,)),             # below the least value
+    ("parallelogram", (1, 0)),
+])
+def test_expected_verdict_rejects_bad_parameters(fam, args):
+    with pytest.raises(DomainError):
+        expected_verdict(fam, *args)
+    with pytest.raises(DomainError):
+        builtin_mlt(fam, *args)
+
+
 def test_fixture_files_match_generators():
     files = sorted(SYSTEMS_DIR.glob("*.mlt"))
     assert len(files) == len(default_instances())
