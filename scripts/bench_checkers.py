@@ -31,7 +31,11 @@ alternating the trees case by case for ROUNDS rounds (the first tree leads
 in even rounds) and keeping each row's median over the rounds, so that
 both trees meet the same slow and fast phases of a shared machine.  A
 single in-process run moves by up to 50% between runs on such a machine,
-so even one tree is timed this way:
+so even one tree is timed this way.  With two trees the file also keeps,
+under "ratio", each row's median over the rounds of the second tree's
+value over the first's in the same round: the two runs of a round follow
+each other, so the ratio cancels most of a phase that a median over the
+rounds of either tree alone still holds:
 
     python3 scripts/bench_checkers.py --tree parent=../parent/src --tree change=src
     python3 scripts/bench_checkers.py --tree change=src
@@ -145,10 +149,13 @@ JOBS = ([(time_case, system, n) for system, n in CASES]
         + [(time_compile, system, n) for system, n in COMPILE_CASES])
 
 
-def time_trees(trees: dict) -> dict:
-    """{label: {job kind: {case: {row: median over the rounds}}}}, each job
-    run in one subprocess per tree and round, the trees alternating."""
-    runs = {label: {} for label in trees}
+def time_trees(trees: dict) -> tuple[dict, dict]:
+    """({label: {job kind: {case: {row: median over the rounds}}}}, ratios),
+    each job run in one subprocess per tree and round, the trees
+    alternating.  With two trees, ratios is {job kind: {case: {row: median
+    over the rounds of second / first}}} over the rows whose first value is
+    never 0; else it is empty."""
+    runs, ratios = {label: {} for label in trees}, {}
     for i, (job, system, n) in enumerate(JOBS):
         rounds = {label: [] for label in trees}
         for r in range(ROUNDS):
@@ -164,7 +171,14 @@ def time_trees(trees: dict) -> dict:
                    for name in got[0]}
             runs[label].setdefault(job.__name__, {})[case_name(system, n)] = row
             print(label, case_name(system, n), row, flush=True)
-    return runs
+        if len(trees) == 2:
+            first, second = rounds.values()
+            row = {name: round(statistics.median(b[name] / a[name]
+                                                 for a, b in zip(first, second)), 4)
+                   for name in first[0] if all(a[name] for a in first)}
+            ratios.setdefault(job.__name__, {})[case_name(system, n)] = row
+            print("ratio", case_name(system, n), row, flush=True)
+    return runs, ratios
 
 
 def cpu_model() -> str:
@@ -207,7 +221,7 @@ def main():
     trees = dict(args.tree)
     how = (f"median over {ROUNDS} rounds, trees alternating case by case "
            f"in subprocesses ({', '.join(trees)})")
-    runs = time_trees(trees)
+    runs, ratios = time_trees(trees)
     doc = json.loads(OUT.read_text()) if OUT.exists() else {}
     doc.update({
         "what": "per-sample median ms, best of "
@@ -228,6 +242,13 @@ def main():
         doc.setdefault("runs", {})[label] = {
             "environment": environment(), "how": how,
             "median_ms": jobs["time_case"], "compile": jobs["time_compile"]}
+    doc.pop("ratio", None)
+    if ratios:
+        first, second = trees
+        doc["ratio"] = {"of": f"{second}/{first}",
+                        "what": f"per row, the median over the {ROUNDS} rounds of "
+                                f"{second}'s value over {first}'s in the same round",
+                        "median_ms": ratios["time_case"], "compile": ratios["time_compile"]}
     OUT.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(f"wrote {OUT.name}")
 

@@ -119,40 +119,52 @@ def _pair_generated_proper(tabs, n: int):
 
     Pairs are settled by reachability: the one-step values f(u), u over
     {a, b}, lie in Sg(a, b), so if two of them form a pair known to
-    generate A, {a, b} generates A too.  Only pairs still open get a
-    closure.  A proper subalgebra holds no generating pair, so the first
-    proper pair is never settled and its closure is the witness, as when
-    every pair is closed."""
+    generate A, {a, b} generates A too.  Each pair {x, y} found to
+    generate A is used once: it settles the open pairs in the bits of
+    holders[x] & holders[y].  Only pairs still open get a closure.  A
+    proper subalgebra holds no generating pair, so the first proper pair
+    is never settled and its closure is the witness, as when every pair is
+    closed."""
     if n < 2:
         return None
-    S = _closure_np(tabs, n, (0, 1))
-    if len(S) < n:
-        return [int(x) for x in S]
-    a, b = _pairs(n).T
-    V = np.concatenate([a[:, None], b[:, None]]
-                       + [tab[_pair_cells(n, d)] for tab, d in tabs], axis=1)
-    if V.shape[1] > n:
-        # a row holds at most n distinct values: keep each once, padded with a
-        held = np.zeros((len(V), n), dtype=bool)
-        held[np.arange(len(V))[:, None], V] = True
-        V = np.where(held, np.arange(n), a[:, None])
-    I, J = _pairs(V.shape[1]).T
-    generating = np.zeros((n, n), dtype=bool)
-    done = np.zeros(len(a), dtype=bool)
-    p = 0
+    pairs = _pairs(n)
+    p, holders = 0, None
     while True:
+        S = _closure_np(tabs, n, pairs[p])
+        if len(S) < n:
+            return [int(x) for x in S]
+        if holders is None:  # built once {0, 1} is known to generate A
+            a, b = pairs.T
+            holders = _one_step_holders(tabs, n)
+            done = np.arange(64 * holders.shape[1]) >= len(a)  # padding bits are done
+            step = max(1, _GATHER_CHUNK // holders[0].nbytes)  # rows per ~_GATHER_CHUNK bytes
         new = np.array([p])
         while len(new):
             done[new] = True
-            generating[a[new], b[new]] = generating[b[new], a[new]] = True
-            rest = np.flatnonzero(~done)
-            new = rest[_holds_pair(V[rest], I, J, generating)]
-        if not len(rest):
+            reached = np.zeros(holders.shape[1], dtype=np.uint64)
+            for q in (new[s:s + step] for s in range(0, len(new), step)):
+                reached |= np.bitwise_or.reduce(holders.take(a[q], 0) & holders.take(b[q], 0))
+            bits = np.unpackbits(reached.view(np.uint8), bitorder="little").view(bool)
+            new = (bits & ~done).nonzero()[0]
+        if done.all():
             return None
-        p = rest[0]
-        S = _closure_np(tabs, n, (a[p], b[p]))
-        if len(S) < n:
-            return [int(x) for x in S]
+        p = done.argmin()  # the first open pair
+
+
+def _one_step_holders(tabs, n: int) -> np.ndarray:
+    """Row x in uint64 words: bit i (bit i % 8 of byte i // 8) is set iff x
+    is a one-step value of the i-th pair of _pairs(n), the pair included."""
+    pairs = _pairs(n)
+    holders = np.zeros((n, -(-len(pairs) // 64) * 8), dtype=np.uint8)
+    step = max(64, _GATHER_CHUNK // n // 64 * 64)  # whole words, ~_GATHER_CHUNK bools
+    for s in range(0, len(pairs), step):
+        vals = np.concatenate([pairs[s:s + step]]
+                              + [tab[_pair_cells(n, d)[s:s + step]] for tab, d in tabs], axis=1)
+        w = -(-len(vals) // 64) * 64
+        hit = np.zeros(n * w, dtype=bool)
+        hit[vals * w + np.arange(len(vals))[:, None]] = True
+        holders[:, s // 8:(s + w) // 8] = np.packbits(hit.reshape(n, w), axis=1, bitorder="little")
+    return holders.view(np.uint64)
 
 
 @lru_cache(maxsize=16)
@@ -173,18 +185,6 @@ def _pair_cells(n: int, d: int) -> np.ndarray:
     cells = _pairs(n)[:, bits] @ n ** np.arange(d - 1, -1, -1)
     cells.flags.writeable = False
     return cells
-
-
-def _holds_pair(V, I, J, marked) -> np.ndarray:
-    """Whether each row of V holds, in some column pair (I[k], J[k]), a
-    pair marked in the n x n boolean matrix.  Rows go in chunks so that
-    the gathered index arrays stay near _GATHER_CHUNK entries."""
-    out = np.zeros(len(V), dtype=bool)
-    step = max(1, _GATHER_CHUNK // len(I))
-    for s in range(0, len(V), step):
-        W = V[s:s + step]
-        out[s:s + step] = marked[W[:, I], W[:, J]].any(axis=1)
-    return out
 
 
 def subalgebras_of_size(algebra: FiniteAlgebra, k: int) -> list[tuple[int, ...]]:

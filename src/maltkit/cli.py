@@ -285,13 +285,12 @@ def cmd_builtin(args) -> int:
     if fam is None:
         raise ParseError(f"unknown builtin {args.name!r}; known: "
                          + ", ".join(sorted(library.FAMILIES)))
-    params = []
-    for pname in fam.params:
-        val = getattr(args, pname)
-        if val is None:
-            raise ParseError(f"builtin {args.name!r} requires --{pname}")
-        params.append(val)
-    sys.stdout.write(library.builtin_mlt(args.name, *params))
+    for flag in ("k", "m", "n"):
+        wanted = flag in fam.params
+        if wanted == (getattr(args, flag) is None):
+            verb = "requires" if wanted else "does not take"
+            raise ParseError(f"builtin {args.name!r} {verb} --{flag}")
+    sys.stdout.write(library.builtin_mlt(args.name, *(getattr(args, p) for p in fam.params)))
     return 0
 
 

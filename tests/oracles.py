@@ -3,7 +3,8 @@ checker and census tests compare against.
 
 Each oracle is an earlier, slower version of a decision that now lives
 once in maltkit.checkers or maltkit.census: a closure of every pair in
-turn, without pairs settled by reachability, the automorphism search over
+turn, without pairs settled by reachability, the settling loop that
+re-tests every open pair each round, the automorphism search over
 every injective image of the generator chain, each extended by
 propagation that rejects conflicting images, the automorphism filter
 that also counts, per coordinate, the cells fixing each element there,
@@ -36,8 +37,8 @@ from hypothesis import strategies as st
 from maltkit.analysis import (ClassInfo, SymmetryGroup, Transversal,
                               TransversalEntry, class_infos)
 from maltkit.census import _in_rows
-from maltkit.checkers import (PropertyResult, _is_automorphism, _tabs,
-                              cross_relation, is_compatible_relation)
+from maltkit.checkers import (PropertyResult, _is_automorphism, _pair_cells, _pairs,
+                              _tabs, cross_relation, is_compatible_relation)
 from maltkit.closure import is_satisfiable
 from maltkit.errors import BudgetError, DomainError
 from maltkit.factory import FiniteAlgebra, check_cells
@@ -192,6 +193,58 @@ def oracle_pair_generated_proper(tabs, n):
             if len(S) < n:
                 return [int(x) for x in S]
     return None
+
+
+def oracle_pair_settling(tabs, n):
+    """(closed, witness): the seeds closed, in order, and the witness of
+    the earlier settling loop.  Each round tests every open pair's one-step
+    values, over every pair of their columns, against the pairs known to
+    generate A, until a round settles none; then the first open pair is
+    closed."""
+    if n < 2:
+        return [], None
+    closed = [(0, 1)]
+    S = oracle_closure(tabs, n, (0, 1))
+    if len(S) < n:
+        return closed, [int(x) for x in S]
+    a, b = _pairs(n).T
+    V = np.concatenate([a[:, None], b[:, None]]
+                       + [tab[_pair_cells(n, d)] for tab, d in tabs], axis=1)
+    if V.shape[1] > n:
+        # a row holds at most n distinct values: keep each once, padded with a
+        held = np.zeros((len(V), n), dtype=bool)
+        held[np.arange(len(V))[:, None], V] = True
+        V = np.where(held, np.arange(n), a[:, None])
+    I, J = _pairs(V.shape[1]).T
+    generating = np.zeros((n, n), dtype=bool)
+    done = np.zeros(len(a), dtype=bool)
+    p = 0
+    while True:
+        new = np.array([p])
+        while len(new):
+            done[new] = True
+            generating[a[new], b[new]] = generating[b[new], a[new]] = True
+            rest = np.flatnonzero(~done)
+            new = rest[oracle_holds_pair(V[rest], I, J, generating)]
+        if not len(rest):
+            return closed, None
+        p = rest[0]
+        closed.append((int(a[p]), int(b[p])))
+        S = oracle_closure(tabs, n, closed[-1])
+        if len(S) < n:
+            return closed, [int(x) for x in S]
+
+
+def oracle_holds_pair(V, I, J, marked):
+    """Whether each row of V holds, in some column pair (I[k], J[k]), a
+    pair marked in the n x n boolean matrix.  Rows go in chunks of about
+    2**18 gathered entries."""
+    out = np.zeros(len(V), dtype=bool)
+    step = max(1, (1 << 18) // len(I))
+    for s in range(0, len(V), step):
+        W = V[s:s + step]
+        out[s:s + step] = marked[W[:, I], W[:, J]].any(axis=1)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,8 @@ from oracles import (absorbing_algebra, affine_algebra, cross_only_algebra,
                      oracle_cross_compatible, oracle_generator_chain,
                      oracle_has_minority_two_subalgebra, oracle_is_idemprimal,
                      oracle_nontrivial_automorphism,
-                     oracle_pair_generated_proper, oracle_side_cells,
+                     oracle_pair_generated_proper, oracle_pair_settling,
+                     oracle_side_cells,
                      random_algebra, small_algebras)
 
 
@@ -160,11 +161,28 @@ def reference_value_counts(alg):
             for x in range(alg.n)]
 
 
+def closed_pairs(tabs, n):
+    """(closed, witness): the seeds _pair_generated_proper closes, in
+    order, and its witness."""
+    closure, closed = checkers._closure_np, []
+
+    def record(tabs, n, seed):
+        closed.append(tuple(int(x) for x in seed))
+        return closure(tabs, n, seed)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(checkers, "_closure_np", record)
+        got = _pair_generated_proper(tabs, n)
+    return closed, got
+
+
 @given(small_algebras())
 @settings(max_examples=300, deadline=None)
 def test_checkers_match_oracles(alg):
     tabs, n = _tabs(alg), alg.n
-    assert _pair_generated_proper(tabs, n) == oracle_pair_generated_proper(tabs, n)
+    closed, got = closed_pairs(tabs, n)
+    assert got == oracle_pair_generated_proper(tabs, n)
+    assert (closed, got) == oracle_pair_settling(tabs, n)
     assert _generator_chain(tabs, n) == oracle_generator_chain(tabs, n)
     assert _nontrivial_automorphism(tabs, n) == oracle_nontrivial_automorphism(tabs, n)
     assert automorphisms(alg) == sorted(oracle_automorphism_search(tabs, n, True))
@@ -175,9 +193,10 @@ def test_checkers_match_oracles(alg):
 def test_checkers_match_oracles_on_census_samples():
     """Pair generation and the cross test agree with the oracles on census
     samples, where almost every pair generates A and most pairs are settled
-    by reachability; some witness is found after pairs before it were
+    by reachability; the pairs closed, and their order, are the earlier
+    settling loop's; some witness is found after pairs before it were
     settled without a closure."""
-    closure, settled_before_witness = checkers._closure_np, 0
+    settled_before_witness = 0
     for args, n, count in ((("hagemann-mitschke", 3), 16, 12),
                            (("maltsev",), 5, 60), (("maltsev",), 8, 40),
                            (("commutative-maltsev",), 5, 60),
@@ -185,12 +204,9 @@ def test_checkers_match_oracles_on_census_samples():
         ctx = CensusEngine(builtin_system(*args)).context(n)
         for j in range(count):
             tabs = ctx.realize_np(draw_values(mix(77, j), n, ctx.total_draws))
-            closed = []
-            with pytest.MonkeyPatch.context() as m:
-                m.setattr(checkers, "_closure_np",
-                          lambda *a: closed.append(a) or closure(*a))
-                got = _pair_generated_proper(tabs, n)
+            closed, got = closed_pairs(tabs, n)
             assert got == oracle_pair_generated_proper(tabs, n), (args, n, j)
+            assert (closed, got) == oracle_pair_settling(tabs, n), (args, n, j)
             if got is not None:
                 first = next(i for i, (a, b) in enumerate(
                     itertools.combinations(range(n), 2))
@@ -202,9 +218,8 @@ def test_checkers_match_oracles_on_census_samples():
 
 
 def test_pair_test_memory_is_bounded_at_high_arity():
-    """An arity-12 row holds 4096 one-step values but at most n = 3
-    distinct ones, so the column pairs are taken over 3 columns, not over
-    8 million."""
+    """An arity-12 pair has 4096 one-step values, but they only set bits
+    in n = 3 rows of one word each."""
     tabs = _tabs(random_algebra(3, (12,), np.random.default_rng(5)))
     tracemalloc.start()
     try:
@@ -214,6 +229,33 @@ def test_pair_test_memory_is_bounded_at_high_arity():
         tracemalloc.stop()
     assert got == oracle_pair_generated_proper(tabs, 3)
     assert peak < 32 << 20, peak
+
+
+@pytest.mark.parametrize("kind", ["successor", "random"])
+def test_pair_settling_memory_is_bounded_at_n_200(kind):
+    """At n = 200 a binary algebra has 19900 pairs.  The settling keeps
+    one 19900-bit row per element and ANDs the rows of the newly
+    generating pairs in chunks, so its traced peak stays under 8 MB.  In
+    x + 1 off the diagonal every pair generates A, so the rows of all
+    19900 pairs are read; the random table has a 2-element subalgebra.
+    The pairs closed and the witness are the earlier loop's."""
+    n = 200
+    if kind == "successor":
+        table = tuple(x if x == y else (x + 1) % n
+                      for x, y in itertools.product(range(n), repeat=2))
+        alg = FiniteAlgebra(n, Signature((("f", 2),)), (table,))
+    else:
+        alg = random_algebra(n, (2,), np.random.default_rng(200))
+    tabs = _tabs(alg)
+    tracemalloc.start()
+    try:
+        got = _pair_generated_proper(tabs, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, peak
+    assert closed_pairs(tabs, n) == oracle_pair_settling(tabs, n)
+    assert (got is None) == (kind == "successor")
 
 
 def closed_pair_algebra(pair, d, rng):
@@ -228,8 +270,8 @@ def closed_pair_algebra(pair, d, rng):
 
 
 def test_pair_test_matches_oracle_at_arity_8():
-    """With more one-step values than elements, each row keeps its values
-    once; {0, 1} generates A, so the witness {1, 2} comes after the
+    """With more one-step values than elements, most of them repeat;
+    {0, 1} generates A, so the witness {1, 2} comes after the
     reachability pass."""
     rng = np.random.default_rng(8)
     algs = [random_algebra(3, (8,), rng) for _ in range(3)]

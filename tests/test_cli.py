@@ -178,6 +178,14 @@ def test_builtin_command(capsys):
     assert main(["builtin", "parallelogram", "--m", "1", "--n", "1"]) == 0
     capsys.readouterr()
     assert main(["builtin", "nope"]) == 2
+    capsys.readouterr()
+    # a flag the family does not take is a ParseError naming it
+    for argv, flag in ((["maltsev", "--k", "3"], "--k"),
+                       (["jonsson", "--k", "2", "--m", "5"], "--m"),
+                       (["near-unanimity", "--k", "3", "--n", "4"], "--n")):
+        assert main(["builtin", *argv]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: builtin {argv[0]!r} does not take {flag}\n")
 
 
 def test_bad_seed_format(maltsev_file):
