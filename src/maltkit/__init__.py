@@ -12,7 +12,6 @@ from .terms import (
     LinearTerm,
     Signature,
     SystemSpec,
-    identification_minors,
     parse_system,
     render_system,
     required_variable_count,

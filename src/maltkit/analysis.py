@@ -163,13 +163,6 @@ def orbit_partition(closure: ClosurePartition) -> list[ClassInfo]:
     return list(class_infos(closure).values())
 
 
-def essential_variables(closure: ClosurePartition, class_id: int) -> frozenset[int]:
-    facts = class_infos(closure)
-    if not (0 <= class_id < len(facts.root) and facts.root[class_id] == class_id):
-        raise DomainError(f"{class_id} is not a class root")
-    return _var_set(int(facts.ess[class_id]))
-
-
 def symmetry_group(closure: ClosurePartition, rep: LinearTerm) -> SymmetryGroup:
     """All permutations pi of the representative's variables {x_1..x_d}
     with rep[pi] in the same class."""
@@ -281,8 +274,3 @@ def classify_minimal(closure: ClosurePartition, t: LinearTerm) -> MinimalTermRep
             inv = tuple(1 if v == i else v + (v < i) for v in ident)
             return MinimalTermReport(t, "semiprojection", inv)
     raise AssertionError("minimal term fits no classification case")
-
-
-def essentially_different(closure: ClosurePartition, s: LinearTerm, t: LinearTerm) -> bool:
-    orbit = class_infos(closure).orbit
-    return bool(orbit[closure.universe.index_of(s)] != orbit[closure.universe.index_of(t)])

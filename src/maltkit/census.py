@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -543,9 +542,3 @@ def write_csv(reports, out) -> None:
                 _fmt(row.ci_low), _fmt(row.ci_high), row.theory_kind,
                 _fmt(row.theory_value), _fmt(row.sigma_deviation),
             ])
-
-
-def csv_text(reports) -> str:
-    buf = io.StringIO()
-    write_csv(reports, buf)
-    return buf.getvalue()

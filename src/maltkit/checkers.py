@@ -1,11 +1,17 @@
 """Decision procedures on concrete finite algebras: subuniverses,
-generated closures, automorphisms, compatible crosses, idemprimality,
-minority pairs, and generic compatible-relation checks.
+generated closures, automorphisms, compatible crosses, idemprimality and
+minority pairs.
 
 Each decision is coded once, as an internal on numpy operation tables
-(tabs, n[, arg]) that returns a witness or None, so the census can call
-it per sample without boxing.  The public functions take a FiniteAlgebra
-and wrap the same internal; _tabs(...) converts between the two views.
+(tabs, n[, arg]) that returns a witness or None; the census registry
+(census.PROPERTIES) calls it per sample without boxing, and check calls
+it through the registry.  _tabs(...) turns a FiniteAlgebra into tables.
+
+Five public wrappers on a FiniteAlgebra remain (is_subuniverse,
+has_proper_subalgebra_size_gt1, has_nontrivial_automorphism,
+cross_compatible and is_idemprimal) only because the benchmark's output
+check calls them; they go once it decides through the registry (ROADMAP
+item 1).
 
 A table is read as table[idx] for integer arrays idx of flat cell indices
 (see _block), or as table[:] for every cell, so a census cell view serves
@@ -97,13 +103,6 @@ def _closure_np(tabs, n: int, seed) -> np.ndarray:
     return S
 
 
-def generated_subuniverse(algebra: FiniteAlgebra, G) -> list[int]:
-    if not G:
-        raise DomainError("generating set must be non-empty")
-    _check_elements(algebra, G, "generators")
-    return [int(x) for x in _closure_np(_tabs(algebra), algebra.n, G)]
-
-
 def has_proper_subalgebra_size_gt1(algebra: FiniteAlgebra) -> PropertyResult:
     n = algebra.n
     if n < 2:
@@ -187,18 +186,13 @@ def _pair_cells(n: int, d: int) -> np.ndarray:
     return cells
 
 
-def subalgebras_of_size(algebra: FiniteAlgebra, k: int) -> list[tuple[int, ...]]:
-    n = algebra.n
-    if not 2 <= k < n:
-        raise DomainError("need 2 <= k < n")
+def _subalgebras(tabs, n: int, k: int):
+    """The k-element subuniverses, in lexicographic order.  The C(n, k)
+    subsets are counted against SUBSET_BUDGET before any is tried."""
     total = math.comb(n, k)
     if total > SUBSET_BUDGET:
-        raise BudgetError(f"C({n},{k}) = {total} subsets exceed the budget")
-    return list(_subalgebras(_tabs(algebra), n, k))
-
-
-def _subalgebras(tabs, n: int, k: int):
-    """The k-element subuniverses, in lexicographic order."""
+        raise BudgetError(f"C({n},{k}) = {total} subsets exceed the subset budget "
+                          f"{SUBSET_BUDGET}")
     return (B for B in combinations(range(n), k) if _subuniverse(tabs, n, B) is None)
 
 
@@ -274,12 +268,6 @@ def _nontrivial_automorphism(tabs, n: int):
     """The first non-identity automorphism in search order, or None."""
     identity = tuple(range(n))
     return next((p for p in _automorphism_search(tabs, n) if p != identity), None)
-
-
-def automorphisms(algebra: FiniteAlgebra) -> list[tuple[int, ...]]:
-    """All permutations commuting with every operation, as image tuples.
-    Always contains the identity."""
-    return sorted(_automorphism_search(_tabs(algebra), algebra.n))
 
 
 def has_nontrivial_automorphism(algebra: FiniteAlgebra) -> PropertyResult:
@@ -404,7 +392,7 @@ def is_idemprimal(algebra: FiniteAlgebra) -> PropertyResult:
 
 
 # ---------------------------------------------------------------------------
-# Minority pairs and generic relations
+# Minority pairs
 
 
 def _minority_values(a: int, b: int):
@@ -412,15 +400,6 @@ def _minority_values(a: int, b: int):
     a exactly when it occurs an odd number of times (once, or diagonal)."""
     return {args: a if args.count(a) % 2 else b
             for args in product((a, b), repeat=3)}
-
-
-def has_minority_two_subalgebra(algebra: FiniteAlgebra, symbol) -> PropertyResult:
-    if isinstance(symbol, str):
-        symbol = algebra.signature.index(symbol)
-    if algebra.signature.arity(symbol) != 3:
-        raise DomainError("minority check needs a ternary symbol")
-    pair = _minority_pair(_tabs(algebra), algebra.n, symbol)
-    return PropertyResult("minority-2-subalgebra", pair is not None, pair)
 
 
 def _minority_pair(tabs, n: int, symbol: int):
@@ -434,30 +413,3 @@ def _minority_pair(tabs, n: int, symbol: int):
     match = (tabs[symbol][0][cells] == pairs[:, list(cube.values())]).all(axis=1)
     return next(((a, b) for a, b in pairs[match].tolist()
                  if _subuniverse(tabs, n, (a, b)) is None), None)
-
-
-def is_compatible_relation(algebra: FiniteAlgebra, relation) -> PropertyResult:
-    """Generic coordinatewise-closure check of a k-ary relation."""
-    rel = sorted(set(tuple(r) for r in relation))
-    if not rel:
-        raise DomainError("relation must be non-empty")
-    k = len(rel[0])
-    if any(len(r) != k for r in rel):
-        raise DomainError("relation tuples must share one arity")
-    relset = set(rel)
-    max_d = max(ar for _, ar in algebra.signature.symbols)
-    if len(rel) ** max_d > 5_000_000:
-        raise BudgetError("relation closure check exceeds the budget")
-    for sym in range(len(algebra.signature)):
-        d = algebra.signature.arity(sym)
-        for rows in product(rel, repeat=d):
-            image = tuple(algebra.value(sym, tuple(r[c] for r in rows))
-                          for c in range(k))
-            if image not in relset:
-                return PropertyResult("compatible-relation", False, (sym, rows))
-    return PropertyResult("compatible-relation", True)
-
-
-def cross_relation(n: int, a: int) -> list[tuple[int, int]]:
-    """The cross at a: ({a} x A) union (A x {a})."""
-    return sorted({(a, x) for x in range(n)} | {(x, a) for x in range(n)})

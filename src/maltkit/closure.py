@@ -174,13 +174,6 @@ class ClosurePartition:
     def class_of(self, t: LinearTerm) -> int:
         return self.find(self.universe.index_of(t))
 
-    def dump(self) -> str:
-        """One class per line, members space-separated, deterministic."""
-        lines = []
-        for root in sorted(self.class_members()):
-            lines.append(" ".join(self.universe.render(i) for i in self.class_members()[root]))
-        return "\n".join(lines) + "\n"
-
 
 _cache: dict[tuple[str, int], ClosurePartition] = {}
 

@@ -419,24 +419,6 @@ def realize(dispatch: DispatchTable, mfamily: MFamily) -> FiniteAlgebra:
     return dispatch.plan(mfamily.n).algebra(np.array(mfamily.values, dtype=np.int64))
 
 
-def extract_mfamily(transversal: Transversal, algebra: FiniteAlgebra,
-                    spec: SystemSpec | None = None) -> MFamily:
-    """h_i := evaluation of the representative term t_i on injective
-    tuples; the inverse of realize.  If spec is given the algebra is
-    validated first."""
-    if spec is not None:
-        ok, witness = validate_model(spec, algebra)
-        if not ok:
-            raise DomainError(f"algebra is not a model: {witness}")
-    oi = orbit_index(transversal, algebra.n)
-    values = []
-    for ei, e in enumerate(transversal.entries[1:], start=1):
-        # rep's variables are x_1..x_d; each key supplies their values
-        values.extend(algebra.value(e.rep.symbol, [int(key[v - 1]) for v in e.rep.args])
-                      for key in oi.keys(ei))
-    return MFamily(algebra.n, tuple(values))
-
-
 def validate_model(spec: SystemSpec, algebra: FiniteAlgebra):
     """Check every identity on every assignment.  Returns (True, None) or
     (False, (identity index, assignment tuple))."""

@@ -2,7 +2,7 @@
 
 From the transversal we read off d_M (least essential arity above 1) and
 the multiset of (d_i, q_i); everything else here is arithmetic on those:
-p(k), model counts, exact finite-n subalgebra probabilities, the
+p(k), exact finite-n subalgebra probabilities, the
 asymptotic verdict table, the idemprimality verdict, and the tail
 diagnostic zeta/murskii_tail.
 """
@@ -46,13 +46,6 @@ def p_of_k(params: Parameters, k: int) -> int:
     if k < 0:
         raise ValueError("k must be non-negative")
     return sum(q * math.comb(k, d) for d, q in params.entries)
-
-
-def model_count(params: Parameters, n: int) -> int:
-    """Number of models on a fixed n-element carrier: n ** p(n)."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return n ** p_of_k(params, n)
 
 
 def fixed_subalgebra_probability(params: Parameters, k: int, n: int) -> Fraction:

@@ -147,29 +147,6 @@ def substitute(t: LinearTerm, gamma) -> LinearTerm:
     return LinearTerm(t.symbol, args)
 
 
-def identification_minors(t: LinearTerm) -> list[tuple[dict, LinearTerm]]:
-    """All proper identification minors of an application term: one entry
-    per non-injective self-map of its variable set, paired with the image
-    term.  Count equals k^k - k! for k distinct variables."""
-    if t.is_variable:
-        raise ValueError("a bare variable has no identification minors")
-    vs = sorted(t.variables())
-    out = []
-
-    def rec(i, gamma):
-        if i == len(vs):
-            if len(set(gamma.values())) < len(vs):
-                out.append((dict(gamma), substitute(t, gamma)))
-            return
-        for target in vs:
-            gamma[vs[i]] = target
-            rec(i + 1, gamma)
-        del gamma[vs[i]]
-
-    rec(0, {})
-    return out
-
-
 def required_variable_count(spec: SystemSpec, extra: Identity | None = None) -> int:
     """Least m such that {x_1..x_m} is large enough: at least 2, at least
     every arity, and at least every identity's variable count."""

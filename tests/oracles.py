@@ -25,9 +25,13 @@ The compile oracles are the factory's earlier grid builds: the orbit
 index masks the whole [n]^d grid per entry, and the gather plan computes
 the equality kernel of every cell, scans it once per pattern, and reads
 each cell's arguments back by division.
+The generic relation check and the cross relation decide crosses for the
+cross oracle; extract_mfamily, the inverse of factory.realize, is what the
+family <-> model round trips check against; csv_text reads census output.
 """
 
 import functools
+import io
 import itertools
 import math
 
@@ -36,12 +40,13 @@ from hypothesis import strategies as st
 
 from maltkit.analysis import (ClassInfo, SymmetryGroup, Transversal,
                               TransversalEntry, class_infos)
-from maltkit.census import _in_rows
+from maltkit.census import _in_rows, write_csv
 from maltkit.checkers import (PropertyResult, _is_automorphism, _pair_cells, _pairs,
-                              _tabs, cross_relation, is_compatible_relation)
+                              _tabs)
 from maltkit.closure import is_satisfiable
 from maltkit.errors import BudgetError, DomainError
-from maltkit.factory import FiniteAlgebra, check_cells
+from maltkit.factory import (FiniteAlgebra, MFamily, check_cells, orbit_index,
+                             validate_model)
 from maltkit.terms import (Identity, LinearTerm, Signature, SystemSpec,
                            kernel_code, substitute)
 
@@ -381,6 +386,33 @@ def oracle_side_cells(n, d, pinned):
     return int(weight[list(pinned)].sum()), offsets
 
 
+def is_compatible_relation(algebra, relation) -> PropertyResult:
+    """Generic coordinatewise-closure check of a k-ary relation."""
+    rel = sorted(set(tuple(r) for r in relation))
+    if not rel:
+        raise DomainError("relation must be non-empty")
+    k = len(rel[0])
+    if any(len(r) != k for r in rel):
+        raise DomainError("relation tuples must share one arity")
+    relset = set(rel)
+    max_d = max(ar for _, ar in algebra.signature.symbols)
+    if len(rel) ** max_d > 5_000_000:
+        raise BudgetError("relation closure check exceeds the budget")
+    for sym in range(len(algebra.signature)):
+        d = algebra.signature.arity(sym)
+        for rows in itertools.product(rel, repeat=d):
+            image = tuple(algebra.value(sym, tuple(r[c] for r in rows))
+                          for c in range(k))
+            if image not in relset:
+                return PropertyResult("compatible-relation", False, (sym, rows))
+    return PropertyResult("compatible-relation", True)
+
+
+def cross_relation(n, a):
+    """The cross at a: ({a} x A) union (A x {a})."""
+    return sorted({(a, x) for x in range(n)} | {(x, a) for x in range(n)})
+
+
 def oracle_any_cross(algebra):
     """The first a whose cross passes the generic relation check, or None."""
     return next((a for a in range(algebra.n) if is_compatible_relation(
@@ -565,6 +597,34 @@ def oracle_canonical_transversal(closure):
                                      math.factorial(d) // len(grp)))
     rest.sort(key=lambda e: (e.d, e.class_id))
     return Transversal(tuple(entries + rest))
+
+
+# ---------------------------------------------------------------------------
+# families and census output
+
+
+def extract_mfamily(transversal, algebra, spec=None):
+    """h_i := evaluation of the representative term t_i on injective
+    tuples; the inverse of factory.realize.  If spec is given the algebra
+    is validated first."""
+    if spec is not None:
+        ok, witness = validate_model(spec, algebra)
+        if not ok:
+            raise DomainError(f"algebra is not a model: {witness}")
+    oi = orbit_index(transversal, algebra.n)
+    values = []
+    for ei, e in enumerate(transversal.entries[1:], start=1):
+        # rep's variables are x_1..x_d; each key supplies their values
+        values.extend(algebra.value(e.rep.symbol, [int(key[v - 1]) for v in e.rep.args])
+                      for key in oi.keys(ei))
+    return MFamily(algebra.n, tuple(values))
+
+
+def csv_text(reports):
+    """census.write_csv's output as a string."""
+    buf = io.StringIO()
+    write_csv(reports, buf)
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -16,18 +16,19 @@ import pytest
 
 from maltkit.analysis import (canonical_transversal, class_infos,
                               minimal_terms, symmetry_group)
-from maltkit.census import CensusEngine, Experiment, csv_text, run_census
+from maltkit.census import CensusEngine, Experiment, run_census
 from maltkit.checkers import (cross_compatible, is_idemprimal,
                               is_subuniverse)
 from maltkit.closure import compute_closure
 from maltkit.factory import (algebra_to_json, build_dispatch,
-                             enumerate_models, extract_mfamily, mix, realize,
+                             enumerate_models, mix, realize,
                              sample_mfamily)
 from maltkit.library import builtin_system, expected_verdict
 from maltkit.params import (idemprimality_verdict, murskii_tail,
                             no_size_d_subalgebra_probability, p_of_k,
                             parameters, zeta)
 from maltkit.terms import LinearTerm, parse_system
+from oracles import csv_text, extract_mfamily
 
 CMALTSEV = ("signature f/3\nidentity f(x,x,y) = y\n"
             "identity f(x,y,z) = f(z,y,x)\n")

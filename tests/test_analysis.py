@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from maltkit import analysis, closure as closure_mod
 from maltkit.analysis import (canonical_transversal, class_infos,
-                              classify_minimal, essential_variables,
-                              essentially_different, is_minimal,
+                              classify_minimal, is_minimal,
                               minimal_terms, orbit_partition, symmetry_group)
 from maltkit.census import CensusEngine
 from maltkit.cli import main
@@ -238,7 +237,8 @@ def test_unsatisfiable_has_no_transversal():
 def test_essential_variables_lookup(cmaltsev_closure):
     clo = cmaltsev_closure
     root = clo.class_of(LinearTerm.app(0, (1, 2, 1)))
-    assert essential_variables(clo, root) == frozenset({1, 2})
+    assert class_infos(clo).ess[root] == 0b11  # {x_1, x_2}
+    assert class_infos(clo)[root].essential_vars == frozenset({1, 2})
 
 
 # ---------------------------------------------------------------------------
@@ -305,11 +305,11 @@ def test_classify_rejects_non_minimal(maltsev_closure):
 
 def test_essentially_different(cmaltsev_closure):
     clo = cmaltsev_closure
-    a = LinearTerm.app(0, (1, 2, 1))
-    b = LinearTerm.app(0, (2, 1, 2))
-    c = LinearTerm.app(0, (1, 2, 3))
-    assert not essentially_different(clo, a, b)
-    assert essentially_different(clo, a, c)
+    orbit = class_infos(clo).orbit
+    a, b, c = (orbit[clo.universe.index_of(LinearTerm.app(0, args))]
+               for args in ((1, 2, 1), (2, 1, 2), (1, 2, 3)))
+    assert a == b
+    assert a != c
 
 
 # ---------------------------------------------------------------------------

@@ -10,22 +10,21 @@ from hypothesis import given, settings, strategies as st
 
 from maltkit import census
 from maltkit.census import (CSV_HEADER, PROPERTIES, CensusEngine, Experiment,
-                            _in_rows, _SampleEval, csv_text,
+                            _in_rows, _SampleEval,
                             minority_pair_probability,
                             parse_fixed_b, parse_properties, run_census,
                             sweep_census, theory_for, wilson_interval,
                             write_csv)
-from maltkit.checkers import (_tabs, cross_compatible,
-                              has_minority_two_subalgebra,
+from maltkit.checkers import (_minority_pair, _subalgebras, _tabs, cross_compatible,
                               has_nontrivial_automorphism,
                               has_proper_subalgebra_size_gt1, is_idemprimal,
-                              is_subuniverse, subalgebras_of_size)
+                              is_subuniverse)
 from maltkit.errors import DomainError
 from maltkit.factory import TablePlan, draw_values, mix
 from maltkit.library import builtin_system
 from maltkit.params import p_of_k
 from maltkit.terms import parse_system
-from oracles import (cross_only_algebra, oracle_any_cross,
+from oracles import (cross_only_algebra, csv_text, oracle_any_cross,
                      oracle_has_minority_two_subalgebra,
                      oracle_is_idemprimal, oracle_is_subuniverse,
                      oracle_nontrivial_automorphism,
@@ -196,16 +195,17 @@ ORACLES = {
     "fixedB": lambda alg, B: fixed_b(oracle_is_subuniverse(alg, B)),
 }
 
-# the same by the public checkers, defined at n >= min_n
+# the same by the public checkers, or the checker internals where no
+# public checker is left, defined at n >= min_n
 PUBLIC = {
-    "subalg2": lambda alg, _: found(next(iter(subalgebras_of_size(alg, 2)), None)),
-    "subalg3": lambda alg, _: found(next(iter(subalgebras_of_size(alg, 3)), None)),
+    "subalg2": lambda alg, _: found(next(_subalgebras(_tabs(alg), alg.n, 2), None)),
+    "subalg3": lambda alg, _: found(next(_subalgebras(_tabs(alg), alg.n, 3), None)),
     "subalgGT1": lambda alg, _: result(has_proper_subalgebra_size_gt1(alg)),
     "automorphism": lambda alg, _: result(has_nontrivial_automorphism(alg)),
     "cross": lambda alg, _: found(next((a for a in range(alg.n)
                                         if cross_compatible(alg, a).holds), None)),
     "idemprimal": lambda alg, _: result(is_idemprimal(alg)),
-    "minority2": lambda alg, sym: result(has_minority_two_subalgebra(alg, sym)),
+    "minority2": lambda alg, sym: found(_minority_pair(_tabs(alg), alg.n, sym)),
     "fixedB": lambda alg, B: fixed_b(is_subuniverse(alg, B)),
 }
 

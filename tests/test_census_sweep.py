@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from maltkit.census import csv_text, sweep_census
+from maltkit.census import sweep_census
 from maltkit.library import builtin_system
+from oracles import csv_text
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "census_sweep.py"
 

@@ -14,22 +14,20 @@ from maltkit.checkers import (PropertyResult, _any_cross, _automorphism_search,
                               _generator_chain, _is_automorphism,
                               _minority_pair, _minority_values,
                               _nontrivial_automorphism,
-                              _pair_generated_proper, _pairs, _side_cells, _subuniverse, _tabs,
-                              automorphisms, cross_compatible, cross_relation,
-                              generated_subuniverse,
-                              has_minority_two_subalgebra,
+                              _pair_generated_proper, _pairs, _side_cells, _subalgebras,
+                              _subuniverse, _tabs, cross_compatible,
                               has_nontrivial_automorphism,
-                              has_proper_subalgebra_size_gt1, is_compatible_relation,
-                              is_idemprimal, is_subuniverse, subalgebras_of_size)
+                              has_proper_subalgebra_size_gt1,
+                              is_idemprimal, is_subuniverse)
 from maltkit.closure import compute_closure
-from maltkit.census import PROPERTIES, CensusEngine
+from maltkit.census import PROPERTIES, CensusEngine, parse_properties
 from maltkit.errors import BudgetError, DomainError
 from maltkit.factory import (FiniteAlgebra, build_dispatch, draw_values, mix,
                              realize, sample_mfamily)
 from maltkit.library import builtin_system
 from maltkit.terms import Signature, parse_system
 from oracles import (absorbing_algebra, affine_algebra, cross_only_algebra,
-                     invariant_algebra,
+                     cross_relation, invariant_algebra, is_compatible_relation,
                      oracle_automorphism_search, oracle_candidates,
                      oracle_closure,
                      oracle_cross_compatible, oracle_generator_chain,
@@ -46,6 +44,18 @@ SYSTEMS_DIR = Path(__file__).resolve().parent.parent / "src" / "maltkit" / "syst
 def cross_results(tabs, n):
     """(ok, T) of the cross test at every a, from one pass over all a."""
     return [(T is None, T) for T in _cross_failures(tabs, n, range(n))]
+
+
+def automorphisms(alg):
+    """All automorphisms of alg, as sorted image tuples."""
+    return sorted(_automorphism_search(_tabs(alg), alg.n))
+
+
+def minority2(alg, name="f"):
+    """(holds, witness) of the minority2=name registry entry, as check
+    decides it."""
+    (entry, arg), = parse_properties([f"minority2={name}"], alg.signature, alg.n).values()
+    return entry.decide(_tabs(alg), alg.n, arg)
 
 
 def sampled(name, n, seed, *args):
@@ -84,7 +94,7 @@ def test_subset_budget_checked_before_scan(monkeypatch):
 
     monkeypatch.setattr(checkers, "_subuniverse", no_subsets)
     with pytest.raises(BudgetError, match="3921225 subsets"):
-        subalgebras_of_size(alg, 4)
+        list(_subalgebras(_tabs(alg), alg.n, 4))
 
 
 def test_relation_budget_checked_before_tuples(monkeypatch):
@@ -105,7 +115,7 @@ def test_generated_subuniverse_is_smallest():
     rng = np.random.default_rng(1)
     for trial in range(20):
         alg = random_algebra(5, (2, 3), rng)
-        S = generated_subuniverse(alg, [0, 1])
+        S = _closure_np(_tabs(alg), alg.n, [0, 1]).tolist()
         assert is_subuniverse(alg, S).holds
         assert {0, 1} <= set(S)
         # minimality: no proper subuniverse of S contains {0,1}
@@ -113,16 +123,6 @@ def test_generated_subuniverse_is_smallest():
             for B in itertools.combinations(S, k):
                 if {0, 1} <= set(B):
                     assert not is_subuniverse(alg, B).holds
-
-
-def test_generated_subuniverse_rejects_elements_outside_the_carrier():
-    """A negative generator would index from the end of the table and one
-    of n or more past it, so both are refused before the closure."""
-    alg = random_algebra(4, (2,), np.random.default_rng(2))
-    for G in ([-1], [0, 4], [7]):
-        with pytest.raises(DomainError, match="generators"):
-            generated_subuniverse(alg, G)
-
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -138,13 +138,13 @@ def test_pair_shortcut_matches_exhaustive():
     for trial in range(30):
         alg = random_algebra(5, (3,), rng)
         got = has_proper_subalgebra_size_gt1(alg).holds
-        brute = any(subalgebras_of_size(alg, k) for k in (2, 3, 4))
+        brute = any(list(_subalgebras(_tabs(alg), alg.n, k)) for k in (2, 3, 4))
         assert got == brute
 
 
 def test_subalgebras_of_size_witnesses():
     alg = sampled("majority", 6, mix(9, 0))
-    pairs = subalgebras_of_size(alg, 2)
+    pairs = list(_subalgebras(_tabs(alg), alg.n, 2))
     # majority: every 2-subset is closed (d_M = 3)
     assert len(pairs) == 15
 
@@ -693,8 +693,7 @@ def test_minority_values_table():
 def test_minority_two_subalgebra_on_minority_model():
     # every 2-subset of a minority1 model is a minority subalgebra
     alg = sampled("minority1", 4, mix(5, 0))
-    res = has_minority_two_subalgebra(alg, "f")
-    assert res.holds
+    assert minority2(alg)[0]
 
 
 def minority_table(n, a, b, rest):
@@ -709,16 +708,16 @@ def minority_table(n, a, b, rest):
 def test_minority_two_subalgebra_small_carriers():
     sig = Signature((("f", 3),))
     alg = FiniteAlgebra(1, sig, ((0,),))
-    assert has_minority_two_subalgebra(alg, "f") == PropertyResult("minority-2-subalgebra", False)
+    assert minority2(alg) == (False, None)
     assert oracle_has_minority_two_subalgebra(alg, 0).holds is False
     minority = FiniteAlgebra(2, sig, (tuple(minority_table(2, 0, 1, 0)),))
-    res = has_minority_two_subalgebra(minority, "f")
-    assert (res.holds, res.witness) == (True, (0, 1))
-    assert oracle_has_minority_two_subalgebra(minority, 0) == res
+    assert minority2(minority) == (True, (0, 1))
+    assert oracle_has_minority_two_subalgebra(minority, 0) == \
+        PropertyResult("minority-2-subalgebra", True, (0, 1))
     # the majority operation on {0, 1} is idempotent but no minority
     majority = FiniteAlgebra(2, sig, (tuple(int(sum(args) >= 2) for args in
                                             itertools.product((0, 1), repeat=3)),))
-    assert not has_minority_two_subalgebra(majority, "f").holds
+    assert not minority2(majority)[0]
     assert not oracle_has_minority_two_subalgebra(majority, 0).holds
 
 
@@ -730,20 +729,20 @@ def test_minority_two_subalgebra_reads_the_constant_cells():
     g = tuple(min(a, b) for a in range(3) for b in range(3))
     table = minority_table(3, 0, 1, 2)
     alg = FiniteAlgebra(3, sig, (tuple(table), g))
-    assert has_minority_two_subalgebra(alg, "f").witness == (0, 1)
+    assert minority2(alg) == (True, (0, 1))
     table[0] = 1
     broken = FiniteAlgebra(3, sig, (tuple(table), g))
     assert is_subuniverse(broken, (0, 1)).holds
-    assert has_minority_two_subalgebra(broken, "f") == \
-        PropertyResult("minority-2-subalgebra", False)
+    assert minority2(broken) == (False, None)
     assert not oracle_has_minority_two_subalgebra(broken, 0).holds
 
 
 def test_minority_two_subalgebra_requires_ternary():
     rng = np.random.default_rng(6)
     alg = random_algebra(3, (2,), rng)
-    with pytest.raises(DomainError):
-        has_minority_two_subalgebra(alg, 0)
+    for prop in ("minority2", "minority2=f0"):
+        with pytest.raises(DomainError, match="ternary"):
+            parse_properties([prop], alg.signature, alg.n)
 
 
 def test_compatible_relation_diagonal():

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from maltkit import census, factory
+from maltkit import census, checkers, factory
 from maltkit.census import CensusEngine
 from maltkit.checkers import (_cross_failures, _nontrivial_automorphism,
                               _pair_generated_proper)
@@ -555,6 +555,26 @@ def test_check_applies_the_automorphism_size_cap(props, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: n=65 exceeds the automorphism budget 64\n"
+
+
+def test_check_applies_the_subset_budget(tmp_path, capsys, monkeypatch):
+    """A random idempotent binary algebra at n = 240: C(240, 3) subsets
+    exceed the 2M budget, and check stops before the first is tried."""
+    def no_subsets(*args):
+        raise AssertionError("a subset was tried before the budget check")
+
+    monkeypatch.setattr(checkers, "_subuniverse", no_subsets)
+    rng = np.random.default_rng(240)
+    table = rng.integers(0, 240, size=240 * 240)
+    table[::241] = np.arange(240)  # the diagonal cells (a, a)
+    alg = tmp_path / "alg240.json"
+    alg.write_text(json.dumps({"n": 240, "operations": {
+        "f": {"arity": 2, "table": table.tolist()}}}))
+    assert main(["check", str(alg), "--property", "subalg3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: C(240,3) = 2275280 subsets exceed the subset "
+                            "budget 2000000\n")
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

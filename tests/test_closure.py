@@ -228,8 +228,3 @@ def test_closure_monotone_in_identities(maltsev_spec):
     for _, members in base.class_members().items():
         roots = {more.find(i) for i in members}
         assert len(roots) == 1
-
-
-def test_dump_deterministic(cmaltsev_closure):
-    assert cmaltsev_closure.dump() == cmaltsev_closure.dump()
-    assert len(cmaltsev_closure.dump().splitlines()) == 12

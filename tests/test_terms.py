@@ -1,4 +1,3 @@
-import math
 from itertools import product
 
 import numpy as np
@@ -8,7 +7,7 @@ from hypothesis import given, strategies as st
 from maltkit.errors import ParseError
 from maltkit.factory import patterns_of_arity
 from maltkit.terms import (Identity, LinearTerm, Signature, SystemSpec,
-                           identification_minors, kernel_code, parse_system,
+                           kernel_code, parse_system,
                            render_system, render_term,
                            required_variable_count, substitute,
                            variable_names)
@@ -166,16 +165,6 @@ def test_substitute():
     assert substitute(t, {1: 3, 2: 1}) == LinearTerm.app(0, (3, 1, 3))
     with pytest.raises(ValueError):
         substitute(t, {1: 3})
-
-
-@given(st.integers(2, 4))
-def test_identification_minor_count(k):
-    t = LinearTerm.app(0, tuple(range(1, k + 1)))
-    minors = identification_minors(t)
-    assert len(minors) == k ** k - math.factorial(k)
-    for gamma, image in minors:
-        assert len(set(gamma.values())) < k
-        assert image == substitute(t, gamma)
 
 
 def test_required_variable_count():
