@@ -253,8 +253,9 @@ def cmd_check(args) -> int:
                               f"identity {witness[0]} fails at {witness[1]}")
     props = census_mod.parse_properties(_property_list(args), alg.signature, alg.n)
     tabs = checkers._tabs(alg)
-    for prop, (entry, arg) in props.items():
-        holds, witness = entry.decide(tabs, alg.n, arg)
+    # decide all before printing any, so a tripped budget leaves stdout empty
+    results = {prop: entry.decide(tabs, alg.n, arg) for prop, (entry, arg) in props.items()}
+    for prop, (holds, witness) in results.items():
         obj = {"property": prop, "holds": holds}
         if witness is not None:
             obj["witness"] = witness

@@ -201,26 +201,12 @@ def compute_closure(spec: SystemSpec, m: int | None = None, *,
         raise BudgetError(f"universe of {universe.size} terms exceeds the "
                           f"budget {DEFAULT_MAX_UNIVERSE}")
     clo = ClosurePartition(spec, universe)
-    rng_vars = range(1, m + 1)
     for ident in spec.identities:
-        nvars = len(ident.variables())
-        sides = []
-        for side in (ident.lhs, ident.rhs):
-            if side.is_variable:
-                sides.append((None, side.args[0]))
-            else:
-                sides.append((side.symbol, side.args))
-        for gamma in product(rng_vars, repeat=nvars):
-            # gamma[v-1] is the image of variable v
-            pair = []
-            for sym, args in sides:
-                if sym is None:
-                    pair.append(gamma[args - 1] - 1)
-                else:
-                    pows = universe._pows[sym]
-                    pair.append(universe.offsets[sym]
-                                + sum((gamma[a - 1] - 1) * p for a, p in zip(args, pows)))
-            clo.union(pair[0], pair[1])
+        # one row per map gamma of the identity's variables into {x_1..x_m}
+        gammas = np.array(list(product(range(m), repeat=len(ident.variables()))))
+        for i, j in zip(universe.renamed_indices(ident.lhs, gammas).tolist(),
+                        universe.renamed_indices(ident.rhs, gammas).tolist()):
+            clo.union(i, j)
 
     _cache[key] = clo
     return clo

@@ -15,6 +15,7 @@ warning rather than an error.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Callable
 
 from .errors import DomainError
@@ -25,6 +26,21 @@ def _mlt(signature: list[tuple[str, int]], identities: list[str]) -> str:
     lines = ["signature " + ", ".join(f"{nm}/{ar}" for nm, ar in signature)]
     lines += [f"identity {ident}" for ident in identities]
     return "\n".join(lines) + "\n"
+
+
+def _absorbing(sym: str, arity: int, rows) -> str:
+    """The system sym(u) = x, one identity per row, where u is y at the
+    row's positions and x elsewhere."""
+    return _mlt([(sym, arity)], [
+        f"{sym}({','.join('y' if j in row else 'x' for j in range(arity))}) = x"
+        for row in rows])
+
+
+def _chain(sym: str, k: int, even: list[str], odd: list[str]) -> list[str]:
+    """The links sym_i(u) = sym_(i+1)(u) for i < k, with u running over the
+    argument lists even for even i and odd for odd i."""
+    return [f"{sym}{i}({u}) = {sym}{i + 1}({u})"
+            for i in range(k) for u in (odd if i % 2 else even)]
 
 
 def _maltsev():
@@ -44,62 +60,35 @@ def _hagemann_mitschke(k: int):
 
 
 def _jonsson(k: int):
-    syms = [(f"t{i}", 3) for i in range(k + 1)]
     idents = ["t0(x,y,z) = x", f"t{k}(x,y,z) = z"]
     idents += [f"t{i}(x,y,x) = x" for i in range(k + 1)]
-    for i in range(k):
-        if i % 2 == 0:
-            idents.append(f"t{i}(x,x,y) = t{i + 1}(x,x,y)")
-        else:
-            idents.append(f"t{i}(x,y,y) = t{i + 1}(x,y,y)")
-    return _mlt(syms, idents)
+    return _mlt([(f"t{i}", 3) for i in range(k + 1)],
+                idents + _chain("t", k, ["x,x,y"], ["x,y,y"]))
 
 
 def _day(k: int):
-    syms = [(f"m{i}", 4) for i in range(k + 1)]
     idents = ["m0(x,y,z,w) = x", f"m{k}(x,y,z,w) = w"]
     idents += [f"m{i}(x,y,y,x) = x" for i in range(k + 1)]
-    for i in range(k):
-        if i % 2 == 0:
-            idents.append(f"m{i}(x,x,w,w) = m{i + 1}(x,x,w,w)")
-        else:
-            idents.append(f"m{i}(x,y,y,w) = m{i + 1}(x,y,y,w)")
-    return _mlt(syms, idents)
+    return _mlt([(f"m{i}", 4) for i in range(k + 1)],
+                idents + _chain("m", k, ["x,x,w,w"], ["x,y,y,w"]))
 
 
 def _gumm(k: int):
-    syms = [(f"d{i}", 3) for i in range(k + 1)] + [("p", 3)]
     idents = ["d0(x,y,z) = x"]
     idents += [f"d{i}(x,y,x) = x" for i in range(k + 1)]
-    for i in range(k):
-        if i % 2 == 0:
-            idents.append(f"d{i}(x,y,y) = d{i + 1}(x,y,y)")
-        else:
-            idents.append(f"d{i}(x,x,y) = d{i + 1}(x,x,y)")
-    idents.append(f"d{k}(x,y,y) = p(x,y,y)")
-    idents.append("p(x,x,y) = y")
-    return _mlt(syms, idents)
+    idents += _chain("d", k, ["x,y,y"], ["x,x,y"])
+    idents += [f"d{k}(x,y,y) = p(x,y,y)", "p(x,x,y) = y"]
+    return _mlt([(f"d{i}", 3) for i in range(k + 1)] + [("p", 3)], idents)
 
 
 def _sd_join(k: int):
-    syms = [(f"d{i}", 3) for i in range(k + 1)]
     idents = ["d0(x,y,z) = x", f"d{k}(x,y,z) = z"]
-    for i in range(k):
-        if i % 2 == 0:
-            idents.append(f"d{i}(x,y,y) = d{i + 1}(x,y,y)")
-            idents.append(f"d{i}(x,y,x) = d{i + 1}(x,y,x)")
-        else:
-            idents.append(f"d{i}(x,x,y) = d{i + 1}(x,x,y)")
-    return _mlt(syms, idents)
+    return _mlt([(f"d{i}", 3) for i in range(k + 1)],
+                idents + _chain("d", k, ["x,y,y", "x,y,x"], ["x,x,y"]))
 
 
 def _near_unanimity(k: int, sym: str = "g"):
-    idents = []
-    for i in range(k):
-        args = ["x"] * k
-        args[i] = "y"
-        idents.append(f"{sym}({','.join(args)}) = x")
-    return _mlt([(sym, k)], idents)
+    return _absorbing(sym, k, [(i,) for i in range(k)])
 
 
 def _minority(level: int):
@@ -140,40 +129,20 @@ def _cyclic(k: int):
 
 
 def _cube(k: int):
-    # positions are the binary k-tuples except all-ones, in lex order
-    positions = []
-    for code in range(2 ** k):
-        bits = tuple((code >> (k - 1 - j)) & 1 for j in range(k))
-        if any(b == 0 for b in bits):
-            positions.append(bits)
-    arity = len(positions)
-    idents = []
-    for i in range(k):
-        args = ["x" if bits[i] == 1 else "y" for bits in positions]
-        idents.append(f"c({','.join(args)}) = x")
-    return _mlt([("c", arity)], idents)
+    # positions are the binary k-tuples except all-ones, in lex order;
+    # row i holds the positions whose i-th bit is 0
+    positions = [bits for bits in product((0, 1), repeat=k) if 0 in bits]
+    return _absorbing("c", len(positions), [
+        {j for j, bits in enumerate(positions) if bits[i] == 0} for i in range(k)])
 
 
 def _edge(k: int):
-    arity = k + 1
-    rows = [(0, 1), (0, 2)] + [(i,) for i in range(3, arity)]
-    idents = []
-    for row in rows:
-        args = ["y" if j in row else "x" for j in range(arity)]
-        idents.append(f"e({','.join(args)}) = x")
-    return _mlt([("e", arity)], idents)
+    return _absorbing("e", k + 1, [(0, 1), (0, 2)] + [(i,) for i in range(3, k + 1)])
 
 
 def _parallelogram(m: int, n: int):
-    arity = m + n + 3
-    rows = [(i, i + 1) for i in range(m + 1)]
-    rows.append((m, m + 2))
-    rows += [(m + 2 + j,) for j in range(1, n + 1)]
-    idents = []
-    for row in rows:
-        args = ["y" if j in row else "x" for j in range(arity)]
-        idents.append(f"p({','.join(args)}) = x")
-    return _mlt([("p", arity)], idents)
+    rows = [(i, i + 1) for i in range(m + 1)] + [(m, m + 2)]
+    return _absorbing("p", m + n + 3, rows + [(m + 2 + j,) for j in range(1, n + 1)])
 
 
 def _siggers4():

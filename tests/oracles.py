@@ -15,6 +15,8 @@ once, the minority-pair search over single cells, the census minority
 constraints walked over every symbol's cells at n = 2, and Szendrei's
 criterion built from these oracles, with crosses checked as generic
 relations.
+The closure oracle seeds the union-find by the earlier per-map loop,
+which computes each seed pair's indices from offsets and strides.
 The class-info oracles are the analysis layer's earlier per-term version:
 essential sets and (symbol, pattern) keys read off each LinearTerm, keys
 joined in a dict union-find, and orbits by the m! permutation sweep.  The
@@ -43,7 +45,7 @@ from maltkit.analysis import (ClassInfo, SymmetryGroup, Transversal,
 from maltkit.census import _in_rows, write_csv
 from maltkit.checkers import (PropertyResult, _is_automorphism, _pair_cells, _pairs,
                               _tabs)
-from maltkit.closure import is_satisfiable
+from maltkit.closure import ClosurePartition, TermUniverse, is_satisfiable
 from maltkit.errors import BudgetError, DomainError
 from maltkit.factory import (FiniteAlgebra, MFamily, check_cells, orbit_index,
                              validate_model)
@@ -469,6 +471,38 @@ def oracle_minority_symbolic(engine, symbol):
                 member.add(int(pos[idx]))
     member -= set(forced)  # forced values are already in the pair
     return feasible, sorted(forced.items()), sorted(member)
+
+
+# ---------------------------------------------------------------------------
+# closure seed pairs
+
+
+def oracle_closure_parent(spec, m):
+    """The union-find parent list of the closure over m variables, seeded by
+    the earlier per-map loop: each seed pair's indices are computed from the
+    symbol offsets and row-major argument strides, one map gamma at a time."""
+    universe = TermUniverse(spec.signature, m)
+    clo = ClosurePartition(spec, universe)
+    for ident in spec.identities:
+        sides = []
+        for side in (ident.lhs, ident.rhs):
+            if side.is_variable:
+                sides.append((None, side.args[0]))
+            else:
+                sides.append((side.symbol, side.args))
+        for gamma in itertools.product(range(1, m + 1), repeat=len(ident.variables())):
+            # gamma[v-1] is the image of variable v
+            pair = []
+            for sym, args in sides:
+                if sym is None:
+                    pair.append(gamma[args - 1] - 1)
+                else:
+                    arity = len(args)
+                    pair.append(universe.offsets[sym]
+                                + sum((gamma[a - 1] - 1) * m ** (arity - 1 - j)
+                                      for j, a in enumerate(args)))
+            clo.union(pair[0], pair[1])
+    return clo.parent
 
 
 # ---------------------------------------------------------------------------

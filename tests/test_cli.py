@@ -557,6 +557,17 @@ def test_check_applies_the_automorphism_size_cap(props, tmp_path, capsys):
     assert captured.err == "error: n=65 exceeds the automorphism budget 64\n"
 
 
+def _algebra240(tmp_path):
+    """A random idempotent binary algebra at n = 240, written as JSON."""
+    rng = np.random.default_rng(240)
+    table = rng.integers(0, 240, size=240 * 240)
+    table[::241] = np.arange(240)  # the diagonal cells (a, a)
+    alg = tmp_path / "alg240.json"
+    alg.write_text(json.dumps({"n": 240, "operations": {
+        "f": {"arity": 2, "table": table.tolist()}}}))
+    return alg
+
+
 def test_check_applies_the_subset_budget(tmp_path, capsys, monkeypatch):
     """A random idempotent binary algebra at n = 240: C(240, 3) subsets
     exceed the 2M budget, and check stops before the first is tried."""
@@ -564,17 +575,23 @@ def test_check_applies_the_subset_budget(tmp_path, capsys, monkeypatch):
         raise AssertionError("a subset was tried before the budget check")
 
     monkeypatch.setattr(checkers, "_subuniverse", no_subsets)
-    rng = np.random.default_rng(240)
-    table = rng.integers(0, 240, size=240 * 240)
-    table[::241] = np.arange(240)  # the diagonal cells (a, a)
-    alg = tmp_path / "alg240.json"
-    alg.write_text(json.dumps({"n": 240, "operations": {
-        "f": {"arity": 2, "table": table.tolist()}}}))
+    alg = _algebra240(tmp_path)
     assert main(["check", str(alg), "--property", "subalg3"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == ("error: C(240,3) = 2275280 subsets exceed the subset "
                             "budget 2000000\n")
+
+
+def test_check_prints_nothing_when_a_later_property_trips_a_budget(tmp_path, capsys):
+    """cross is decided at n = 240, but subalg3 then trips the subset
+    budget, so no line reaches stdout."""
+    alg = _algebra240(tmp_path)
+    assert main(["check", str(alg), "--property", "cross,subalg3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_one_line_error(captured.err)
+    assert "subset budget" in captured.err
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

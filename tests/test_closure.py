@@ -1,4 +1,5 @@
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,10 @@ from maltkit.closure import (checked_closure, compute_closure, entails,
                              validate_assumptions)
 from maltkit.errors import BudgetError, DomainError
 from maltkit.terms import LinearTerm, parse_system, substitute
+
+from oracles import oracle_closure_parent
+
+SYSTEMS_DIR = Path(__file__).resolve().parent.parent / "src" / "maltkit" / "systems"
 
 V = {"x": 1, "y": 2, "z": 3}
 
@@ -228,3 +233,14 @@ def test_closure_monotone_in_identities(maltsev_spec):
     for _, members in base.class_members().items():
         roots = {more.find(i) for i in members}
         assert len(roots) == 1
+
+
+@pytest.mark.parametrize("path", sorted(SYSTEMS_DIR.glob("*.mlt")), ids=lambda p: p.stem)
+def test_closure_seed_pairs_match_oracle(path, monkeypatch):
+    # the seed pairs through renamed_indices, unioned in the oracle's order,
+    # leave the very same parent list; an empty cache keeps find's path
+    # compression by earlier tests out of it
+    monkeypatch.setattr(closure, "_cache", {})
+    spec = parse_system(path.read_text(), name=path.stem)
+    clo = compute_closure(spec)
+    assert clo.parent == oracle_closure_parent(spec, clo.m)

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 from pathlib import Path
 
 import pytest
@@ -221,3 +223,44 @@ def test_fixture_files_match_generators():
         assert path.is_file(), path
         spec = builtin_system(fam, *args)
         assert path.read_text() == render_system(spec), path.name
+
+
+# SHA-256 of builtin_mlt's raw text per family, concatenated over a grid of
+# parameters: each from its least value up to that value + 5, or + 2 for a
+# family with two parameters (80 instances in all).  render_system renames
+# variables, so the fixture test above does not see this text.
+BUILTIN_TEXT_DIGESTS = {
+    'maltsev': '1907f62bafa6ac0aa7261e6293d7b1095a88409d17081af761b2d839bbe39954',
+    'commutative-maltsev': '7f08276ab359cd173f46f116cbec86a04275281ca28f320fb0e48eec6a1954c5',
+    'hagemann-mitschke': '9495c2b84ed0ba80d3232af8e1bb746cb33cb3eb5066c4f3e85f35d5cd4a87cf',
+    'jonsson': 'e3aa050a3784b000176a431e13c41ba2e1312f94db21a53bdc54908f4421e377',
+    'day': '55879192f4e628ff2003e256ad7d7023cca398507f249a156e2053d5b9a6489f',
+    'gumm': 'a15cebb70c38fc84367e7cbb984493855da907f2711f34d0ee1787025b6cead1',
+    'sd-join': '4b8c12751c28d5c4f7bb2c2b256c1f1e40b7096c5741287172a454de00c99acb',
+    'near-unanimity': 'ff1ff3c0c2f6a299d86a49c4a3731711aeba8e5fa4797f472d2ac332db9122a2',
+    'majority': '167f71b9d14824210ebc2859e5832930293514c21f09a41eea11f95601a274e4',
+    'minority1': 'b3ffdc47a93baa2a7aa17d91b456e897e20a4cf683b5412c4c17a0103f5bfb3b',
+    'minority2': '3b350959fdd1bf3aec4e39161c3c24702121129322b18aa2593f34b16158405a',
+    'minority3': '2c198257b5eee16446be68a693ebaeb2225058999af23bfe94ce3544632724a5',
+    'two-thirds-minority': 'a5851000758c09402eb0064230113173693e672228242f42b975677f2765656f',
+    'pixley-pair': '249ae0ad4c5aa893ffefdbc68cadb2458a9e34fb499b190f5abe3a0d31094305',
+    'weak-nu': 'd27fba90bb67efa131162a7707070ad720277163ee44340f6ee95cbd742bdce5',
+    'cyclic': '5be3eacafc0c9560baa9e28e44499da6f43147dc2057d705504d668754698ec1',
+    'cube': '2128b7e84af96eea0151f504f4aae0dcd0b315f45bb97bba271dd5ebcd25aecb',
+    'edge': '439f374562282657f00fd9615ed665cd14d0ca2cd11da789e197a406cb1babb2',
+    'parallelogram': '13ca66fe495f5ecf2c243eebcd777290993bcc8db0db57365f62bfe17ec316d4',
+    'siggers4': '12995da5b47713b801f3ffc397becd5945115971d30692a555054b0818614295',
+    'siggers6': '4c56e08504763ff32089f06504e67522f75b5c27dc91db6ed121c24371750957',
+    'olsak': 'e21ec8d9454d586322a6092954b93fe16bda6554e5a8259e704af45cb18ed381',
+}
+
+
+def test_builtin_text_digests():
+    got = {}
+    for fam in FAMILIES.values():
+        span = 6 if len(fam.params) < 2 else 3
+        digest = hashlib.sha256()
+        for args in itertools.product(*(range(lo, lo + span) for lo in fam.params.values())):
+            digest.update(builtin_mlt(fam.name, *args).encode())
+        got[fam.name] = digest.hexdigest()
+    assert got == BUILTIN_TEXT_DIGESTS
