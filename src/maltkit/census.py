@@ -335,16 +335,11 @@ def _subsets(k: int, arrays: str) -> Property:
         return bool(len(live))
 
     def theory(engine, _, n):
-        d = engine.params.d_M
-        if d > k:
-            return "exact_finite_n", 1.0
-        if d == k:
+        if engine.params.d_M >= k:  # below d_M, p(k) = 0 makes this 1
             single = (k / n) ** p_of_k(engine.params, k)
             return "exact_finite_n", 1.0 - (1.0 - single) ** math.comb(n, k)
-        cell = asymptotic_table(engine.params).at_d_plus_1  # d_M >= 2, so k = d + 1
-        if cell.kind == "open":
-            return "open", None
-        return "asymptotic", cell.as_float()
+        _, _, value = asymptotic_table(engine.params)[2]  # d_M >= 2, so k = d_M + 1
+        return ("open", None) if value is None else ("asymptotic", value)
 
     return Property(f"subalg{k}", k + 1,
                     _found(lambda tabs, n: next(checkers._subalgebras(tabs, n, k), None)),
@@ -395,10 +390,7 @@ def _fixed_b_family(ev, B):
 
 
 def _fixed_b_theory(engine, B, n):
-    k = len(B)
-    if k < engine.params.d_M or k == n:
-        return "exact_finite_n", 1.0
-    return "exact_finite_n", float(fixed_subalgebra_probability(engine.params, k, n))
+    return "exact_finite_n", float(fixed_subalgebra_probability(engine.params, len(B), n))
 
 
 PROPERTIES = {p.name: p for p in (

@@ -118,7 +118,6 @@ def _analysis_payload(spec, max_vars: int) -> dict:
     for t in minimal_terms(closure, trans):
         rep = classify_minimal(closure, t)
         minimal.append({"term": _render(spec, t), "kind": rep.kind})
-    table = params_mod.asymptotic_table(pars)
     verdict = params_mod.idemprimality_verdict(pars)
     payload.update({
         "num_classes": len(facts),
@@ -128,9 +127,8 @@ def _analysis_payload(spec, max_vars: int) -> dict:
         "p": {str(k): params_mod.p_of_k(pars, k)
               for k in range(pars.d_M, pars.d_M + 4)},
         "minimal_terms": minimal,
-        "subalgebra_table": [
-            {"size": label, "value": cell.render(), "float": cell.as_float()}
-            for label, cell in table.rows()],
+        "subalgebra_table": [{"size": size, "value": text, "float": value}
+                             for size, text, value in params_mod.asymptotic_table(pars)],
         "verdict": {
             "almost_surely_idemprimal": verdict.almost_surely,
             "limit_probability": verdict.limit_probability,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable
 
-from .errors import DomainError
+from .errors import BudgetError, DomainError
 from .terms import SystemSpec, parse_system
 
 
@@ -172,7 +172,8 @@ class BuiltinFamily:
     name: str
     generator: Callable[..., str]    # parameters -> .mlt text
     verdict: Callable[..., bool]     # parameters -> published a.s. idemprimality
-    params: dict[str, int] = field(default_factory=dict)  # name -> least value
+    # name -> (least, greatest) value; the greatest keeps the text small
+    params: dict[str, tuple[int, int]] = field(default_factory=dict)
     shipped: tuple[tuple[int, ...], ...] = ((),)  # parameters of the .mlt fixtures
     advisory: bool = False           # encoding is a best-effort reading
 
@@ -181,14 +182,14 @@ FAMILIES: dict[str, BuiltinFamily] = {fam.name: fam for fam in (
     BuiltinFamily("maltsev", _maltsev, lambda: False),
     BuiltinFamily("commutative-maltsev", _commutative_maltsev, lambda: False),
     BuiltinFamily("hagemann-mitschke", _hagemann_mitschke, lambda k: k >= 3,
-                  {"k": 2}, _ks(2, 5)),
-    BuiltinFamily("jonsson", _jonsson, lambda k: k >= 4, {"k": 2}, _ks(2, 5)),
-    BuiltinFamily("day", _day, lambda k: k >= 2, {"k": 2}, _ks(2, 5), advisory=True),
-    BuiltinFamily("gumm", _gumm, lambda k: k >= 1, {"k": 0}, _ks(0, 5), advisory=True),
-    BuiltinFamily("sd-join", _sd_join, lambda k: k >= 4, {"k": 2}, _ks(2, 5),
+                  {"k": (2, 64)}, _ks(2, 5)),
+    BuiltinFamily("jonsson", _jonsson, lambda k: k >= 4, {"k": (2, 64)}, _ks(2, 5)),
+    BuiltinFamily("day", _day, lambda k: k >= 2, {"k": (2, 64)}, _ks(2, 5), advisory=True),
+    BuiltinFamily("gumm", _gumm, lambda k: k >= 1, {"k": (0, 64)}, _ks(0, 5), advisory=True),
+    BuiltinFamily("sd-join", _sd_join, lambda k: k >= 4, {"k": (2, 64)}, _ks(2, 5),
                   advisory=True),
     BuiltinFamily("near-unanimity", _near_unanimity, lambda k: k >= 4,
-                  {"k": 3}, _ks(3, 5)),
+                  {"k": (3, 64)}, _ks(3, 5)),
     BuiltinFamily("majority", lambda: _near_unanimity(3, sym="m"), lambda: False),
     BuiltinFamily("minority1", lambda: _minority(1), lambda: False),
     BuiltinFamily("minority2", lambda: _minority(2), lambda: False),
@@ -196,12 +197,13 @@ FAMILIES: dict[str, BuiltinFamily] = {fam.name: fam for fam in (
     BuiltinFamily("two-thirds-minority", _two_thirds_minority, lambda: False),
     BuiltinFamily("pixley-pair", _pixley_pair, lambda: False),
     BuiltinFamily("weak-nu", _weak_near_unanimity, lambda k: k >= 4,
-                  {"k": 3}, _ks(3, 5)),
-    BuiltinFamily("cyclic", _cyclic, lambda k: k >= 4, {"k": 2}, _ks(2, 5)),
-    BuiltinFamily("cube", _cube, lambda k: k >= 3, {"k": 2}, _ks(2, 3)),
-    BuiltinFamily("edge", _edge, lambda k: k >= 3, {"k": 2}, _ks(2, 5)),
+                  {"k": (3, 64)}, _ks(3, 5)),
+    BuiltinFamily("cyclic", _cyclic, lambda k: k >= 4, {"k": (2, 64)}, _ks(2, 5)),
+    # cube's arity is 2^k - 1
+    BuiltinFamily("cube", _cube, lambda k: k >= 3, {"k": (2, 7)}, _ks(2, 3)),
+    BuiltinFamily("edge", _edge, lambda k: k >= 3, {"k": (2, 64)}, _ks(2, 5)),
     BuiltinFamily("parallelogram", _parallelogram, lambda m, n: True,
-                  {"m": 1, "n": 1}, ((1, 1), (1, 2), (2, 1)), advisory=True),
+                  {"m": (1, 64), "n": (1, 64)}, ((1, 1), (1, 2), (2, 1)), advisory=True),
     BuiltinFamily("siggers4", _siggers4, lambda: True),
     BuiltinFamily("siggers6", _siggers6, lambda: True),
     BuiltinFamily("olsak", _olsak, lambda: True),
@@ -217,9 +219,12 @@ def _family(family: str, args: tuple[int, ...]) -> BuiltinFamily:
     if len(args) != len(fam.params):
         want = ", ".join(fam.params) if fam.params else "no parameters"
         raise DomainError(f"builtin {family!r} takes {want}")
-    if any(a < lo for a, lo in zip(args, fam.params.values())):
+    if any(a < lo for a, (lo, _) in zip(args, fam.params.values())):
         raise DomainError(f"{family} needs " + " and ".join(
-            f"{p} >= {lo}" for p, lo in fam.params.items()))
+            f"{p} >= {lo}" for p, (lo, _) in fam.params.items()))
+    if any(a > hi for a, (_, hi) in zip(args, fam.params.values())):
+        raise BudgetError(f"{family} needs " + " and ".join(
+            f"{p} <= {hi}" for p, (_, hi) in fam.params.items()))
     return fam
 
 

@@ -2,9 +2,9 @@
 
 From the transversal we read off d_M (least essential arity above 1) and
 the multiset of (d_i, q_i); everything else here is arithmetic on those:
-p(k), exact finite-n subalgebra probabilities, the
-asymptotic verdict table, the idemprimality verdict, and the tail
-diagnostic zeta/murskii_tail.
+p(k), the exact probability that a fixed subset is a subuniverse, the
+asymptotic table of proper subalgebras by size, the idemprimality
+verdict, and the tail diagnostic zeta/murskii_tail.
 """
 
 from __future__ import annotations
@@ -50,91 +50,31 @@ def p_of_k(params: Parameters, k: int) -> int:
 
 def fixed_subalgebra_probability(params: Parameters, k: int, n: int) -> Fraction:
     """Probability that a fixed k-element subset of an n-element carrier is
-    a subuniverse of a uniform random model: (k/n) ** p(k)."""
-    if k < params.d_M:
-        raise DomainError(
-            f"k={k} is below d_M={params.d_M}; every such subset is a "
-            "subuniverse (probability 1)")
+    a subuniverse of a uniform random model: (k/n) ** p(k).  It is 1 when
+    k < d_M, where p(k) = 0, and when k = n."""
     if k > n:
         raise DomainError("k cannot exceed n")
     return Fraction(k, n) ** p_of_k(params, k)
 
 
-def no_size_d_subalgebra_probability(params: Parameters, n: int) -> Fraction:
-    """Exact probability that no d_M-element subset is a subuniverse:
-    (1 - (d/n)**p(d)) ** C(n, d).  The d_M-subset events are independent
-    because they are determined by disjoint blocks of the independent
-    family values."""
-    d = params.d_M
-    if n <= d:
-        raise DomainError("n must exceed d_M")
-    single = Fraction(d, n) ** p_of_k(params, d)
-    return (1 - single) ** math.comb(n, d)
-
-
-# Verdict table cell values.  kind is one of:
-#   "one", "zero", "one_minus_exp" (value 1 - e^{-d^d/d!}), "open"
-@dataclass(frozen=True)
-class TableCell:
-    kind: str
-    d: int | None = None
-
-    def as_float(self) -> float | None:
-        if self.kind == "one":
-            return 1.0
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "one_minus_exp":
-            return 1.0 - math.exp(-(self.d ** self.d) / math.factorial(self.d))
-        return None
-
-    def render(self) -> str:
-        if self.kind == "one_minus_exp":
-            return f"1-exp(-{self.d}^{self.d}/{self.d}!)"
-        return {"one": "1", "zero": "0", "open": "open"}[self.kind]
-
-
-@dataclass(frozen=True)
-class SubalgebraProbabilityTable:
-    """Limiting probabilities of proper subalgebras by size class."""
-
-    d_M: int
-    below_d: TableCell       # size < d_M
-    at_d: TableCell          # size = d_M
-    at_d_plus_1: TableCell   # size = d_M + 1
-    above: TableCell         # size >= d_M + 2
-
-    def rows(self):
-        d = self.d_M
-        return [
-            (f"< {d}", self.below_d),
-            (f"= {d}", self.at_d),
-            (f"= {d + 1}", self.at_d_plus_1),
-            (f">= {d + 2}", self.above),
-        ]
-
-
-def asymptotic_table(params: Parameters) -> SubalgebraProbabilityTable:
+def asymptotic_table(params: Parameters) -> list[tuple[str, str, float | None]]:
+    """Limiting probability of a proper subalgebra of each size class, as
+    four (size, text, value) rows: below d_M, at d_M, at d_M + 1 and above.
+    value is None where the limit is open."""
     d = params.d_M
     p_d = p_of_k(params, d)
     if p_d < d:
-        at_d = TableCell("one")
+        at_d = ("1", 1.0)
     elif p_d == d:
-        at_d = TableCell("one_minus_exp", d)
+        at_d = (f"1-exp(-{d}^{d}/{d}!)", 1.0 - math.exp(-(d ** d) / math.factorial(d)))
     else:
-        at_d = TableCell("zero")
-    has_d_plus_1_entry = any(di == d + 1 for di, _ in params.entries)
-    if p_d > 1 or has_d_plus_1_entry:
-        at_d1 = TableCell("zero")
+        at_d = ("0", 0.0)
+    if p_d > 1 or any(di == d + 1 for di, _ in params.entries):
+        at_d1 = ("0", 0.0)
     else:
-        at_d1 = TableCell("open")
-    return SubalgebraProbabilityTable(
-        d_M=d,
-        below_d=TableCell("one"),
-        at_d=at_d,
-        at_d_plus_1=at_d1,
-        above=TableCell("zero"),
-    )
+        at_d1 = ("open", None)
+    return [(f"< {d}", "1", 1.0), (f"= {d}", *at_d), (f"= {d + 1}", *at_d1),
+            (f">= {d + 2}", "0", 0.0)]
 
 
 @dataclass(frozen=True)

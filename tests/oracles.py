@@ -29,7 +29,9 @@ the equality kernel of every cell, scans it once per pattern, and reads
 each cell's arguments back by division.
 The generic relation check and the cross relation decide crosses for the
 cross oracle; extract_mfamily, the inverse of factory.realize, is what the
-family <-> model round trips check against; csv_text reads census output.
+family <-> model round trips check against; csv_text reads census output;
+no_size_d_subalgebra_probability is the exact value that census frequencies
+of subalg2 approach.
 """
 
 import functools
@@ -49,6 +51,7 @@ from maltkit.closure import ClosurePartition, TermUniverse, is_satisfiable
 from maltkit.errors import BudgetError, DomainError
 from maltkit.factory import (FiniteAlgebra, MFamily, check_cells, orbit_index,
                              validate_model)
+from maltkit.params import fixed_subalgebra_probability
 from maltkit.terms import (Identity, LinearTerm, Signature, SystemSpec,
                            kernel_code, substitute)
 
@@ -659,6 +662,15 @@ def csv_text(reports):
     buf = io.StringIO()
     write_csv(reports, buf)
     return buf.getvalue()
+
+
+def no_size_d_subalgebra_probability(pars, n):
+    """Exact probability that no d_M-element subset is a subuniverse:
+    (1 - (d/n)**p(d)) ** C(n, d).  The d_M-subset events are independent
+    because they are determined by disjoint blocks of the independent
+    family values."""
+    d = pars.d_M
+    return (1 - fixed_subalgebra_probability(pars, d, n)) ** math.comb(n, d)
 
 
 # ---------------------------------------------------------------------------

@@ -24,11 +24,10 @@ from maltkit.factory import (algebra_to_json, build_dispatch,
                              enumerate_models, mix, realize,
                              sample_mfamily)
 from maltkit.library import builtin_system, expected_verdict
-from maltkit.params import (idemprimality_verdict, murskii_tail,
-                            no_size_d_subalgebra_probability, p_of_k,
+from maltkit.params import (idemprimality_verdict, murskii_tail, p_of_k,
                             parameters, zeta)
 from maltkit.terms import LinearTerm, parse_system
-from oracles import csv_text, extract_mfamily
+from oracles import csv_text, extract_mfamily, no_size_d_subalgebra_probability
 
 CMALTSEV = ("signature f/3\nidentity f(x,x,y) = y\n"
             "identity f(x,y,z) = f(z,y,x)\n")

@@ -2,7 +2,10 @@
 must exist, so that a rename fails here instead of failing every
 benchmark job."""
 
+import hashlib
 import importlib.util
+import io
+import json
 from pathlib import Path
 
 import pytest
@@ -11,16 +14,22 @@ from maltkit import census, closure, factory, params
 from maltkit.analysis import canonical_transversal
 from maltkit.checkers import _tabs
 from maltkit.library import builtin_system
+from maltkit.terms import parse_system
 
-WORKER = Path(__file__).resolve().parent.parent / "perfbench" / "worker.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+WORKER = PERFBENCH / "worker.py"
+
+
+def load_module(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def worker():
-    spec = importlib.util.spec_from_file_location("perfbench_worker", WORKER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_module("perfbench_worker", WORKER)
 
 
 def test_trace_and_mark_targets_resolve(worker):
@@ -63,3 +72,24 @@ def test_public_property_matches_the_registry(worker):
             held[prop] += holds
     # both outcomes occur for the pair and idemprimal properties
     assert 0 < held["subalg2"] < 12 and 0 < held["idemprimal"] < 12
+
+
+WORKLOADS = load_module("perfbench_workloads", PERFBENCH / "workloads.py").WORKLOADS
+GOLDEN = json.loads((PERFBENCH / "golden.json").read_text())
+
+
+@pytest.mark.parametrize("name,case", [("census-checkers", case) for case in range(16)]
+                         + [("census-compile", 0), ("census-compile", 1)])
+def test_census_output_matches_the_golden_digest(name, case):
+    """The census CSV that the benchmark's census job writes (case is the
+    master seed) hashes to the digest recorded in golden.json, so an output
+    drift fails here before any benchmark run."""
+    w = WORKLOADS[name]
+    path = Path(census.__file__).resolve().parent / "systems" / f"{w['system']}.mlt"
+    spec = parse_system(path.read_text(), name=path.stem)
+    exp = census.Experiment(system=spec, n=w["n"], num_samples=w["samples"],
+                            master_seed=case, properties=tuple(w["properties"]))
+    buf = io.StringIO(newline="")
+    census.write_csv([census.run_census(exp)], buf)
+    digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    assert digest == GOLDEN[name][str(case)]["digest"]

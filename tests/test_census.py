@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import io
 import json
 import math
@@ -21,7 +22,7 @@ from maltkit.checkers import (_minority_pair, _subalgebras, _tabs, cross_compati
                               is_subuniverse)
 from maltkit.errors import DomainError
 from maltkit.factory import TablePlan, draw_values, mix
-from maltkit.library import builtin_system
+from maltkit.library import builtin_system, default_instances
 from maltkit.params import p_of_k
 from maltkit.terms import parse_system
 from oracles import (cross_only_algebra, csv_text, oracle_any_cross,
@@ -152,7 +153,33 @@ def test_theory_subalg3_open():
     assert kind == "exact_finite_n"
     # and the open cell shows up for size d_M + 1 = 4
     from maltkit.params import asymptotic_table
-    assert asymptotic_table(engine.params).at_d_plus_1.kind == "open"
+    assert asymptotic_table(engine.params)[2] == ("= 4", "open", None)
+
+
+# repr of every theory value on the grid of test_theory_values_are_pinned,
+# recorded before the theory formulas moved into plain params values
+THEORY_GRID_DIGEST = "5bed38f26839d5a1b0ae74aa72cae93410d48448a428fbd7aaf5f9635d9386b8"
+
+
+def test_theory_values_are_pinned():
+    """Every printed theory value stays bit-identical: theory_for over each
+    default instance at small and budget-edge n, hashed by repr."""
+    digest = hashlib.sha256()
+    for family, args in default_instances():
+        engine = CensusEngine(builtin_system(family, *args))
+        ternary = any(ar == 3 for _, ar in engine.spec.signature.symbols)
+        for n in (*range(1, 9), 12, 16, 32, 64):
+            props = ["subalg2", "subalg3", "subalgGT1", "automorphism", "cross",
+                     "idemprimal", *(["minority2"] if ternary else [])]
+            props += ["fixedB=" + "+".join(map(str, range(k)))
+                      for k in range(1, min(n, 6) + 1)]
+            for prop in props:
+                try:
+                    value = theory_for(engine, prop, n)
+                except DomainError as exc:  # idemprimal below n = 3
+                    value = ("DomainError", str(exc))
+                digest.update(repr((family, args, n, prop, value)).encode())
+    assert digest.hexdigest() == THEORY_GRID_DIGEST
 
 
 # ---------------------------------------------------------------------------

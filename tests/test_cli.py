@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import time
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from maltkit import census, checkers, factory
+from maltkit import census, checkers, factory, library
 from maltkit.census import CensusEngine
 from maltkit.checkers import (_cross_failures, _nontrivial_automorphism,
                               _pair_generated_proper)
@@ -186,6 +187,26 @@ def test_builtin_command(capsys):
         assert main(["builtin", *argv]) == 2
         assert capsys.readouterr() == (
             "", f"error: builtin {argv[0]!r} does not take {flag}\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["cube", "--k", "40"], "cube needs k <= 7"),
+    (["near-unanimity", "--k", "200000"], "near-unanimity needs k <= 64"),
+    (["parallelogram", "--m", "1", "--n", "65"], "parallelogram needs m <= 64 and n <= 64"),
+])
+def test_builtin_parameter_above_its_greatest_value(capsys, monkeypatch, argv,
+                                                    message):
+    """A parameter above its family's greatest value is a budget error
+    before any text is built, where cube --k 40 used to build 2^40
+    positions and near-unanimity --k 200000 a text quadratic in k."""
+    def unreachable(*args):
+        raise AssertionError("generator called")
+
+    fam = library.FAMILIES[argv[0]]
+    monkeypatch.setitem(library.FAMILIES, fam.name,
+                        dataclasses.replace(fam, generator=unreachable))
+    assert main(["builtin", *argv]) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_bad_seed_format(maltsev_file):

@@ -6,7 +6,7 @@ import pytest
 
 from maltkit.analysis import canonical_transversal
 from maltkit.closure import compute_closure, validate_assumptions
-from maltkit.errors import DomainError
+from maltkit.errors import BudgetError, DomainError
 from maltkit.library import (FAMILIES, builtin_label, builtin_mlt,
                              builtin_system, default_instances,
                              expected_verdict)
@@ -43,6 +43,21 @@ def test_parameter_range_validation():
             builtin_system(fam, bad)
     with pytest.raises(DomainError):
         builtin_system("parallelogram", 0, 1)
+
+
+def test_parameter_greatest_values():
+    """Every family builds at its greatest parameter values; one more is a
+    budget error, before any text is built."""
+    for fam in FAMILIES.values():
+        greatest = [hi for _, hi in fam.params.values()]
+        assert builtin_system(fam.name, *greatest).name == builtin_label(fam.name, *greatest)
+        for i in range(len(greatest)):
+            above = greatest[:i] + [greatest[i] + 1] + greatest[i + 1:]
+            with pytest.raises(BudgetError):
+                builtin_mlt(fam.name, *above)
+            with pytest.raises(BudgetError):
+                expected_verdict(fam.name, *above)
+    assert FAMILIES["cube"].params == {"k": (2, 7)}  # arity 2^7 - 1 = 127
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +275,8 @@ def test_builtin_text_digests():
     for fam in FAMILIES.values():
         span = 6 if len(fam.params) < 2 else 3
         digest = hashlib.sha256()
-        for args in itertools.product(*(range(lo, lo + span) for lo in fam.params.values())):
+        for args in itertools.product(*(range(lo, lo + span)
+                                        for lo, _ in fam.params.values())):
             digest.update(builtin_mlt(fam.name, *args).encode())
         got[fam.name] = digest.hexdigest()
     assert got == BUILTIN_TEXT_DIGESTS

@@ -10,9 +10,9 @@ from maltkit.errors import DomainError
 from maltkit.library import builtin_system
 from maltkit.params import (Parameters, asymptotic_table,
                             fixed_subalgebra_probability,
-                            idemprimality_verdict, murskii_tail,
-                            no_size_d_subalgebra_probability, p_of_k,
+                            idemprimality_verdict, murskii_tail, p_of_k,
                             parameters, zeta)
+from oracles import no_size_d_subalgebra_probability
 
 
 def params_of(name, *args):
@@ -58,8 +58,9 @@ def test_fixed_subalgebra_probability():
     pars = Parameters(2, ((2, 2), (3, 6)))
     assert fixed_subalgebra_probability(pars, 2, 8) == Fraction(1, 16)
     assert fixed_subalgebra_probability(pars, 2, 16) == Fraction(1, 64)
-    with pytest.raises(DomainError):
-        fixed_subalgebra_probability(pars, 1, 8)
+    # p(1) = 0 below d_M, and the whole carrier is always closed
+    assert fixed_subalgebra_probability(pars, 1, 8) == 1
+    assert fixed_subalgebra_probability(pars, 8, 8) == 1
     with pytest.raises(DomainError):
         fixed_subalgebra_probability(pars, 9, 8)
 
@@ -80,44 +81,42 @@ def test_no_size_d_probability():
 # asymptotic table
 
 
-def table_kinds(pars):
-    t = asymptotic_table(pars)
-    return (t.below_d.kind, t.at_d.kind, t.at_d_plus_1.kind, t.above.kind)
+def table_values(pars):
+    return [value for _, _, value in asymptotic_table(pars)]
 
 
 def test_table_minority1():
     # p(3) = 6 > 3: no size-3 subalgebra in the limit; p(3) > 1 kills size 4
-    assert table_kinds(params_of("minority1")) == \
-        ("one", "zero", "zero", "zero")
+    assert asymptotic_table(params_of("minority1")) == [
+        ("< 3", "1", 1.0), ("= 3", "0", 0.0), ("= 4", "0", 0.0), (">= 5", "0", 0.0)]
 
 
 def test_table_minority3():
     # p(3) = 1 < 3 and no 4-ary entry: size-3 a.s., size-4 open
-    assert table_kinds(params_of("minority3")) == \
-        ("one", "one", "open", "zero")
+    assert asymptotic_table(params_of("minority3")) == [
+        ("< 3", "1", 1.0), ("= 3", "1", 1.0), ("= 4", "open", None),
+        (">= 5", "0", 0.0)]
 
 
 def test_table_minority2():
     # p(3) = 2 < 3: size-3 subalgebras almost surely; p(3) = 2 > 1 -> zero
-    assert table_kinds(params_of("minority2")) == \
-        ("one", "one", "zero", "zero")
+    assert table_values(params_of("minority2")) == [1.0, 1.0, 0.0, 0.0]
 
 
 def test_table_maltsev():
     # p(2) = 2 = d: the 1 - e^{-2} cell
     pars = params_of("maltsev")
-    t = asymptotic_table(pars)
-    assert t.at_d.kind == "one_minus_exp"
-    assert abs(t.at_d.as_float() - (1 - math.exp(-2))) < 1e-12
-    assert t.at_d.render() == "1-exp(-2^2/2!)"
-    assert t.at_d_plus_1.kind == "zero"
+    (_, text, value), at_d1 = asymptotic_table(pars)[1:3]
+    assert abs(value - (1 - math.exp(-2))) < 1e-12
+    assert text == "1-exp(-2^2/2!)"
+    assert at_d1 == ("= 3", "0", 0.0)
 
 
 def test_table_open_cell_condition():
     # open iff p(d) = 1 and no entry of arity d+1
-    assert asymptotic_table(Parameters(3, ((3, 1),))).at_d_plus_1.kind == "open"
-    assert asymptotic_table(Parameters(3, ((3, 1), (4, 1)))).at_d_plus_1.kind == "zero"
-    assert asymptotic_table(Parameters(3, ((3, 2),))).at_d_plus_1.kind == "zero"
+    assert table_values(Parameters(3, ((3, 1),)))[2] is None
+    assert table_values(Parameters(3, ((3, 1), (4, 1))))[2] == 0.0
+    assert table_values(Parameters(3, ((3, 2),)))[2] == 0.0
 
 
 # ---------------------------------------------------------------------------

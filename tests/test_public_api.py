@@ -8,10 +8,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "maltkit"
 
-# ROADMAP item 2 gives its exact value to the census theory; until then
-# only criterion 7 reads it.
-EXEMPT = {"no_size_d_subalgebra_probability"}
-
 
 def public_definitions():
     """{name: modules} of the public module-level defs and classes."""
@@ -63,7 +59,7 @@ def readme_entry_points():
 
 def test_every_public_name_has_a_caller_or_is_an_entry_point():
     names = public_definitions()
-    dead = set(names) - referenced_names(names) - readme_entry_points() - EXEMPT
+    dead = set(names) - referenced_names(names) - readme_entry_points()
     assert not dead, sorted(dead)
 
 
@@ -72,4 +68,4 @@ def test_the_guard_sees_calls_and_lookups_but_not_prose():
     used = referenced_names(names)
     assert "orbit_partition" in used  # perfbench looks it up by name
     assert "is_idemprimal" in used  # perfbench calls it
-    assert "no_size_d_subalgebra_probability" not in used
+    assert "murskii_tail" not in used  # only in a docstring and its own def
