@@ -77,14 +77,16 @@ class MinimalTermReport:
 class ClassFacts(Mapping):
     """The class facts every analysis reads, as arrays over the term
     indices: root (the class's least member), varmask (bit v-1 for x_v),
-    ess (the class's essential mask) and orbit (the class's orbit id, the
-    least class root in the orbit); classes holds the class roots in
-    increasing order.  As a mapping it is the ClassInfo per class root,
-    built with the member lists on first lookup."""
+    key (0 for a variable, one id per symbol and kernel code of the
+    arguments), ess (the class's essential mask) and orbit (the class's
+    orbit id, the least class root in the orbit); classes holds the class
+    roots in increasing order.  As a mapping it is the ClassInfo per class
+    root, built with the member lists on first lookup."""
 
-    def __init__(self, closure: ClosurePartition, varmask, ess, orbit):
+    def __init__(self, closure: ClosurePartition, varmask, key, ess, orbit):
         self._closure, self._infos = closure, None
-        self.root, self.varmask, self.ess, self.orbit = closure.roots(), varmask, ess, orbit
+        self.root, self.varmask, self.key = closure.roots(), varmask, key
+        self.ess, self.orbit = ess, orbit
         self.classes = np.flatnonzero(self.root == np.arange(len(self.root)))
 
     @property
@@ -149,7 +151,7 @@ def class_infos(closure: ClosurePartition) -> ClassFacts:
     np.minimum.at(least, key, root)
     orbit = np.full(uni.size, uni.size)
     np.minimum.at(orbit, root, least[key])
-    closure._class_facts = ClassFacts(closure, varmask, ess, orbit[root])
+    closure._class_facts = ClassFacts(closure, varmask, key, ess, orbit[root])
     return closure._class_facts
 
 

@@ -211,7 +211,7 @@ def cmd_sample(args) -> int:
     spec = _load_system(args.system)
     closure = checked_closure(spec, max_vars=args.max_vars)
     trans = canonical_transversal(closure)
-    dispatch = factory.build_dispatch(closure, trans, spec.signature)
+    dispatch = factory.build_dispatch(closure, trans)
     factory.check_cells(spec.signature, args.n)
     with _out_stream(args) as fh:
         for i in range(args.count):

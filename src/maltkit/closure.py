@@ -5,7 +5,7 @@ contains Sigma and is closed under every variable substitution; two linear
 terms are semantically equal in all models iff they land in one class
 (provided Sigma is satisfiable and m is large enough for the query).
 
-Construction note: it suffices to union s[gamma] ~ t[gamma] for every
+Construction note: it suffices to join s[gamma] ~ t[gamma] for every
 identity (s ~ t) in Sigma and every map gamma defined on its variables.
 The equivalence closure of these seed pairs is already substitution
 closed: any chain s = u_0 ~ u_1 ~ ... ~ u_k = t of seed links maps, under
@@ -14,11 +14,18 @@ since each seed link (p[gamma], q[gamma]) maps to the seed link
 (p[delta o gamma], q[delta o gamma]).  So no worklist over merged pairs
 is needed, and gamma ranges over m^v maps (v = variables of the identity)
 rather than m^m.  The fixpoint property is still asserted in tests.
+
+The classes are held as one read-only array, the root of every term
+index, built from the seed pairs in two alternating steps: hook each root
+to the least root a seed pair links it to, then pointer-jump until every
+index points at a root; stop once both sides of every seed pair share a
+root.  A hook only ever lowers a root, and the least member of a class
+is never hooked, so each root is its class's least member.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -30,9 +37,7 @@ from .terms import (
     Signature,
     SystemSpec,
     render_system,
-    render_term,
     required_variable_count,
-    variable_names,
 )
 
 DEFAULT_MAX_VARS = 7
@@ -92,10 +97,6 @@ class TermUniverse:
                 return LinearTerm.app(sym, args)
         raise IndexError(i)
 
-    def render(self, i: int) -> str:
-        names = variable_names(self.sig, self.m)
-        return render_term(self.term_at(i), self.sig, names)
-
 
 @dataclass
 class AssumptionReport:
@@ -111,59 +112,29 @@ class AssumptionReport:
 
 
 class ClosurePartition:
-    """Union-find partition of a TermUniverse realizing the least
-    substitution-closed equivalence relation containing Sigma."""
+    """The least substitution-closed equivalence relation containing Sigma
+    on a TermUniverse, as the read-only class root of every term index."""
 
-    def __init__(self, spec: SystemSpec, universe: TermUniverse):
+    def __init__(self, spec: SystemSpec, universe: TermUniverse, roots: np.ndarray):
         self.spec = spec
         self.universe = universe
-        self.parent = list(range(universe.size))
-        self._roots = self._members = None
-
-    # -- union-find ---------------------------------------------------
-
-    def find(self, i: int) -> int:
-        parent = self.parent
-        root = i
-        while parent[root] != root:
-            root = parent[root]
-        while parent[i] != root:
-            parent[i], i = root, parent[i]
-        return root
-
-    def union(self, i: int, j: int):
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            if ri > rj:
-                ri, rj = rj, ri
-            self.parent[rj] = ri
-        self._roots = self._members = None
-
-    def same(self, i: int, j: int) -> bool:
-        return self.find(i) == self.find(j)
-
-    # -- derived views ------------------------------------------------
+        roots.flags.writeable = False
+        self._roots = roots
+        self._members = None
 
     @property
     def m(self) -> int:
         return self.universe.m
 
     def roots(self) -> np.ndarray:
-        """The class root of every term index (read-only), by pointer
-        jumping on parent.  union keeps the smaller root, so each root is
-        its class's least member."""
-        if self._roots is None:
-            roots = np.array(self.parent, dtype=np.int64)
-            while not np.array_equal(jumped := roots[roots], roots):
-                roots = jumped
-            roots.flags.writeable = False
-            self._roots = roots
+        """The class root of every term index (read-only); each root is its
+        class's least member."""
         return self._roots
 
     def class_members(self) -> dict[int, list[int]]:
         """Map from class root to the sorted member indices, by root."""
         if self._members is None:
-            roots = self.roots()
+            roots = self._roots
             order = np.argsort(roots, kind="stable")
             starts = np.flatnonzero(np.diff(roots[order], prepend=-1))
             bounds = np.append(starts, len(order)).tolist()
@@ -172,7 +143,7 @@ class ClosurePartition:
         return self._members
 
     def class_of(self, t: LinearTerm) -> int:
-        return self.find(self.universe.index_of(t))
+        return int(self._roots[self.universe.index_of(t)])
 
 
 _cache: dict[tuple[str, int], ClosurePartition] = {}
@@ -200,22 +171,29 @@ def compute_closure(spec: SystemSpec, m: int | None = None, *,
     if universe.size > DEFAULT_MAX_UNIVERSE:
         raise BudgetError(f"universe of {universe.size} terms exceeds the "
                           f"budget {DEFAULT_MAX_UNIVERSE}")
-    clo = ClosurePartition(spec, universe)
+    # the empty heads keep concatenate defined for a system without identities
+    lhs, rhs = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     for ident in spec.identities:
         # one row per map gamma of the identity's variables into {x_1..x_m}
         gammas = np.array(list(product(range(m), repeat=len(ident.variables()))))
-        for i, j in zip(universe.renamed_indices(ident.lhs, gammas).tolist(),
-                        universe.renamed_indices(ident.rhs, gammas).tolist()):
-            clo.union(i, j)
+        lhs.append(universe.renamed_indices(ident.lhs, gammas))
+        rhs.append(universe.renamed_indices(ident.rhs, gammas))
+    lhs, rhs = np.concatenate(lhs), np.concatenate(rhs)
+    roots = np.arange(universe.size)
+    while not np.array_equal(a := roots[lhs], b := roots[rhs]):
+        np.minimum.at(roots, a, b)
+        np.minimum.at(roots, b, a)
+        while not np.array_equal(jumped := roots[roots], roots):
+            roots = jumped
 
-    _cache[key] = clo
+    _cache[key] = clo = ClosurePartition(spec, universe, roots)
     return clo
 
 
 def is_satisfiable(closure: ClosurePartition) -> bool:
     """True iff no two distinct variables share a class."""
-    roots = {closure.find(v) for v in range(closure.m)}
-    return len(roots) == closure.m
+    # x_v's root is a smaller variable iff it shares a class with one
+    return bool((closure.roots()[:closure.m] == np.arange(closure.m)).all())
 
 
 def entails(closure: ClosurePartition, s: LinearTerm, t: LinearTerm) -> bool:
@@ -226,7 +204,7 @@ def entails(closure: ClosurePartition, s: LinearTerm, t: LinearTerm) -> bool:
     if closure.m < req:
         raise DomainError(
             f"closure over m={closure.m} variables is too small for this query (needs {req})")
-    return closure.same(closure.universe.index_of(s), closure.universe.index_of(t))
+    return closure.class_of(s) == closure.class_of(t)
 
 
 def entails_auto(spec: SystemSpec, s: LinearTerm, t: LinearTerm, *,
@@ -255,7 +233,7 @@ def validate_assumptions(spec: SystemSpec, *,
     for sym in range(len(spec.signature)):
         arity = spec.signature.arity(sym)
         diag = LinearTerm.app(sym, (1,) * arity)
-        if not clo.same(clo.universe.index_of(diag), 0):
+        if clo.class_of(diag) != 0:  # x_1's class, whose least member is x_1
             idem = False
             detail.append(f"symbol {spec.signature.name(sym)!r} is not idempotent")
     if not sat:

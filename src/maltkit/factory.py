@@ -16,11 +16,11 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from itertools import accumulate, permutations, product
+from itertools import accumulate, product
 
 import numpy as np
 
-from .analysis import Transversal, canonical_transversal
+from .analysis import Transversal, canonical_transversal, class_infos
 from .closure import ClosurePartition, compute_closure
 from .errors import BudgetError, DomainError, ParseError
 from .params import p_of_k, parameters
@@ -41,24 +41,6 @@ def mix(master_seed: int, index: int) -> int:
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK
     z = ((z ^ (z >> 27)) * _MIX2) & _MASK
     return z ^ (z >> 31)
-
-
-def patterns_of_arity(d: int) -> list[tuple[int, ...]]:
-    """All first-occurrence label tuples of length d (restricted growth
-    strings), in lexicographic order."""
-    out = []
-
-    def rec(prefix, top):
-        if len(prefix) == d:
-            out.append(tuple(prefix))
-            return
-        for lb in range(top + 2):
-            prefix.append(lb)
-            rec(prefix, max(top, lb))
-            prefix.pop()
-
-    rec([0], 0)
-    return out
 
 
 @dataclass(frozen=True)
@@ -106,43 +88,39 @@ class DispatchTable:
 
 
 def build_dispatch(closure: ClosurePartition, transversal: Transversal,
-                   sig: Signature | None = None, order_rng=None) -> DispatchTable:
-    """For each (symbol, pattern): search injective assignments of the
-    pattern's blocks to variables until the resulting term lands in a
-    transversal class; record that entry and sigma.  The realized algebra
-    does not depend on the search order (tested), so order_rng exists only
-    to exercise that invariance."""
-    spec = closure.spec
-    if sig is None:
-        sig = spec.signature
-    uni = closure.universe
-    class_to_entry = {e.class_id: i for i, e in enumerate(transversal.entries)}
-    rules: dict[int, dict] = {}
-    for sym in range(len(sig)):
-        d = sig.arity(sym)
-        per_sym = {}
-        for mu in patterns_of_arity(d):
-            v = max(mu) + 1
-            assignments = list(permutations(range(1, uni.m + 1), v))
-            if order_rng is not None:
-                order_rng.shuffle(assignments)
-            hit = None
-            for asg in assignments:
-                z = tuple(asg[lb] for lb in mu)
-                root = closure.find(uni.index_of(LinearTerm.app(sym, z)))
-                if root in class_to_entry:
-                    ei = class_to_entry[root]
-                    de = transversal.entries[ei].d
-                    sigma = tuple(z.index(i) + 1 for i in range(1, de + 1))
-                    hit = (ei, sigma)
-                    break
-            if hit is None:
-                raise AssertionError(
-                    f"no transversal class reachable for symbol "
-                    f"{sig.name(sym)} pattern {mu}")
-            per_sym[mu] = hit
-        rules[sym] = per_sym
-    return DispatchTable(spec, transversal, rules)
+                   sig: Signature | None = None) -> DispatchTable:
+    """For each symbol and argument pattern mu: the transversal entry of
+    the least term f(z) with kernel mu whose class is a transversal class,
+    and its selector sigma (z's first position holding x_j, for j up to
+    the entry's arity).  That term is the first hit of a search over the
+    injective assignments of mu's blocks to variables in lex order: the
+    assignment a gives z = (a[mu_1], ..., a[mu_d]), and since each block
+    of mu first occurs before every later block, lex order of a is lex
+    order of z, which is universe order.  The least term of each (symbol,
+    kernel) key is f(mu + 1) itself.  sig, if given, must be the closure's
+    signature; it is read from the closure."""
+    facts = class_infos(closure)
+    uni, root, key = closure.universe, facts.root, facts.key
+    entries = transversal.entries
+    entry_of = np.full(uni.size, -1)
+    entry_of[[e.class_id for e in entries]] = np.arange(len(entries))
+    marked = np.flatnonzero(entry_of[root] >= 0)
+    least = np.full(int(key.max()) + 1, uni.size)
+    hit = least.copy()
+    np.minimum.at(least, key, np.arange(uni.size))
+    np.minimum.at(hit, key[marked], marked)
+    rules: dict[int, dict] = {sym: {} for sym in range(len(uni.sig))}
+    for k in (np.flatnonzero(least[1:] < uni.size) + 1).tolist():  # key 0: the variables
+        t, i = uni.term_at(int(least[k])), int(hit[k])
+        mu = tuple(a - 1 for a in t.args)
+        if i == uni.size:
+            raise AssertionError(
+                f"no transversal class reachable for symbol "
+                f"{uni.sig.name(t.symbol)} pattern {mu}")
+        z, ei = uni.term_at(i).args, int(entry_of[root[i]])
+        rules[t.symbol][mu] = (ei, tuple(z.index(j) + 1 for j in range(1, entries[ei].d + 1)))
+    rules = {sym: dict(sorted(per_sym.items())) for sym, per_sym in rules.items()}
+    return DispatchTable(closure.spec, transversal, rules)
 
 
 # ---------------------------------------------------------------------------

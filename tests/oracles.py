@@ -15,8 +15,11 @@ once, the minority-pair search over single cells, the census minority
 constraints walked over every symbol's cells at n = 2, and Szendrei's
 criterion built from these oracles, with crosses checked as generic
 relations.
-The closure oracle seeds the union-find by the earlier per-map loop,
-which computes each seed pair's indices from offsets and strides.
+The closure oracle is the earlier union-find, which kept the smaller
+root on each union, seeded by the earlier per-map loop that computes each
+seed pair's indices from offsets and strides.  The dispatch oracle is the
+earlier search over the injective assignments of each argument pattern's
+blocks, which can also try them in a shuffled order.
 The class-info oracles are the analysis layer's earlier per-term version:
 essential sets and (symbol, pattern) keys read off each LinearTerm, keys
 joined in a dict union-find, and orbits by the m! permutation sweep.  The
@@ -47,16 +50,22 @@ from maltkit.analysis import (ClassInfo, SymmetryGroup, Transversal,
 from maltkit.census import _in_rows, write_csv
 from maltkit.checkers import (PropertyResult, _is_automorphism, _pair_cells, _pairs,
                               _tabs)
-from maltkit.closure import ClosurePartition, TermUniverse, is_satisfiable
+from maltkit.closure import TermUniverse, is_satisfiable
 from maltkit.errors import BudgetError, DomainError
 from maltkit.factory import (FiniteAlgebra, MFamily, check_cells, orbit_index,
                              validate_model)
 from maltkit.params import fixed_subalgebra_probability
 from maltkit.terms import (Identity, LinearTerm, Signature, SystemSpec,
-                           kernel_code, substitute)
+                           kernel_code, render_term, substitute, variable_names)
 
 # ---------------------------------------------------------------------------
 # argument patterns
+
+
+def render_index(universe, i):
+    """The text of the term at index i of a TermUniverse."""
+    return render_term(universe.term_at(i), universe.sig,
+                       variable_names(universe.sig, universe.m))
 
 
 def pattern_of(values):
@@ -480,12 +489,21 @@ def oracle_minority_symbolic(engine, symbol):
 # closure seed pairs
 
 
-def oracle_closure_parent(spec, m):
-    """The union-find parent list of the closure over m variables, seeded by
-    the earlier per-map loop: each seed pair's indices are computed from the
-    symbol offsets and row-major argument strides, one map gamma at a time."""
+def oracle_closure_roots(spec, m):
+    """The class root of every term index of the closure over m variables,
+    by a union-find that keeps the smaller root, so each root is its
+    class's least member.  The seed pairs come from the earlier per-map
+    loop: each pair's indices are computed from the symbol offsets and
+    row-major argument strides, one map gamma at a time."""
     universe = TermUniverse(spec.signature, m)
-    clo = ClosurePartition(spec, universe)
+    parent = list(range(universe.size))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
     for ident in spec.identities:
         sides = []
         for side in (ident.lhs, ident.rhs):
@@ -504,8 +522,60 @@ def oracle_closure_parent(spec, m):
                     pair.append(universe.offsets[sym]
                                 + sum((gamma[a - 1] - 1) * m ** (arity - 1 - j)
                                       for j, a in enumerate(args)))
-            clo.union(pair[0], pair[1])
-    return clo.parent
+            ri, rj = find(pair[0]), find(pair[1])
+            parent[max(ri, rj)] = min(ri, rj)
+    return [find(i) for i in range(universe.size)]
+
+
+# ---------------------------------------------------------------------------
+# dispatch search
+
+
+def patterns_of_arity(d):
+    """All first-occurrence label tuples of length d (restricted growth
+    strings), in lexicographic order."""
+    out = []
+
+    def rec(prefix, top):
+        if len(prefix) == d:
+            out.append(tuple(prefix))
+            return
+        for lb in range(top + 2):
+            prefix.append(lb)
+            rec(prefix, max(top, lb))
+            prefix.pop()
+
+    rec([0], 0)
+    return out
+
+
+def oracle_dispatch_rules(closure, transversal, order_rng=None):
+    """The dispatch rules by the earlier search: for each symbol and each
+    pattern of patterns_of_arity, try the injective assignments of the
+    pattern's blocks to variables (in lex order, or shuffled by order_rng)
+    until the term lands in a transversal class; record that entry and
+    sigma."""
+    uni = closure.universe
+    class_to_entry = {e.class_id: i for i, e in enumerate(transversal.entries)}
+    rules = {}
+    for sym in range(len(uni.sig)):
+        per_sym = {}
+        for mu in patterns_of_arity(uni.sig.arity(sym)):
+            assignments = list(itertools.permutations(range(1, uni.m + 1), max(mu) + 1))
+            if order_rng is not None:
+                order_rng.shuffle(assignments)
+            for asg in assignments:
+                z = tuple(asg[lb] for lb in mu)
+                ei = class_to_entry.get(closure.class_of(LinearTerm.app(sym, z)))
+                if ei is not None:
+                    de = transversal.entries[ei].d
+                    per_sym[mu] = (ei, tuple(z.index(i) + 1 for i in range(1, de + 1)))
+                    break
+            else:
+                raise AssertionError(f"no transversal class reachable for symbol "
+                                     f"{uni.sig.name(sym)} pattern {mu}")
+        rules[sym] = per_sym
+    return rules
 
 
 # ---------------------------------------------------------------------------
@@ -530,8 +600,8 @@ class _UnionFind:
 def _classes(closure):
     """Class root -> sorted members, by find on every term index."""
     members = {}
-    for i in range(closure.universe.size):
-        members.setdefault(closure.find(i), []).append(i)
+    for i, root in enumerate(closure.roots().tolist()):
+        members.setdefault(root, []).append(i)
     return members
 
 
@@ -578,7 +648,7 @@ def orbit_partition_bruteforce(closure):
         gamma = {v: perm[v - 1] for v in range(1, uni.m + 1)}
         for root in members:
             image = substitute(uni.term_at(root), gamma)
-            uf.union(root, closure.find(uni.index_of(image)))
+            uf.union(root, closure.class_of(image))
     least = {}
     for root in members:  # in increasing order
         least.setdefault(uf.find(root), root)
@@ -612,8 +682,9 @@ def oracle_canonical_transversal(closure):
     orbits = {}
     for info in infos.values():
         orbits.setdefault(info.orbit_id, []).append(info)
-    var_orbit = infos[closure.find(0)].orbit_id
-    entries = [TransversalEntry(closure.find(0), LinearTerm.var(1), 1,
+    var_root = closure.class_of(LinearTerm.var(1))
+    var_orbit = infos[var_root].orbit_id
+    entries = [TransversalEntry(var_root, LinearTerm.var(1), 1,
                                 SymmetryGroup(1, ((1,),)), 1)]
     rest = []
     for oid, classes in orbits.items():

@@ -20,14 +20,15 @@ from maltkit.census import CensusEngine, Experiment, run_census
 from maltkit.checkers import (cross_compatible, is_idemprimal,
                               is_subuniverse)
 from maltkit.closure import compute_closure
-from maltkit.factory import (algebra_to_json, build_dispatch,
+from maltkit.factory import (DispatchTable, algebra_to_json, build_dispatch,
                              enumerate_models, mix, realize,
                              sample_mfamily)
 from maltkit.library import builtin_system, expected_verdict
 from maltkit.params import (idemprimality_verdict, murskii_tail, p_of_k,
                             parameters, zeta)
 from maltkit.terms import LinearTerm, parse_system
-from oracles import csv_text, extract_mfamily, no_size_d_subalgebra_probability
+from oracles import (csv_text, extract_mfamily, no_size_d_subalgebra_probability,
+                     oracle_dispatch_rules, render_index)
 
 CMALTSEV = ("signature f/3\nidentity f(x,x,y) = y\n"
             "identity f(x,y,z) = f(z,y,x)\n")
@@ -53,7 +54,7 @@ def test_criterion_01_table1_golden():
     spec = parse_system(CMALTSEV, name="cmaltsev")
     clo = compute_closure(spec, 3)
     uni = clo.universe
-    classes = {frozenset(uni.render(i) for i in members)
+    classes = {frozenset(render_index(uni, i) for i in members)
                for members in clo.class_members().values()}
     expected = {
         frozenset({"x", "f(x,x,x)", "f(y,y,x)", "f(x,y,y)", "f(z,z,x)", "f(x,z,z)"}),
@@ -69,7 +70,7 @@ def test_criterion_01_table1_golden():
     assert classes == expected
     infos = class_infos(clo)
     names = {1: "x", 2: "y", 3: "z"}
-    ess = {frozenset(uni.render(i) for i in info.members):
+    ess = {frozenset(render_index(uni, i) for i in info.members):
            {names[v] for v in info.essential_vars} for info in infos.values()}
     assert ess[frozenset({"f(x,y,x)"})] == {"x", "y"}
     assert ess[frozenset({"f(x,y,z)", "f(z,y,x)"})] == {"x", "y", "z"}
@@ -148,7 +149,7 @@ def test_criterion_04_bijection_oracle():
             parse_system(text, name=name)
         clo = compute_closure(spec)
         trans = canonical_transversal(clo)
-        dispatch = build_dispatch(clo, trans, spec.signature)
+        dispatch = build_dispatch(clo, trans)
         pars = parameters(trans)
         brute = {algebra_to_json(a)
                  for a in enumerate_models(spec, 2, backend="brute")}
@@ -234,7 +235,7 @@ def test_criterion_09_majority_sanity():
     spec = builtin_system("majority")
     clo = compute_closure(spec)
     trans = canonical_transversal(clo)
-    dispatch = build_dispatch(clo, trans, spec.signature)
+    dispatch = build_dispatch(clo, trans)
     for i in range(100):
         alg = realize(dispatch, sample_mfamily(trans, 7, mix(99, i)))
         for a in range(7):
@@ -251,7 +252,7 @@ def test_criterion_10_uniformity():
     spec = builtin_system("maltsev")
     clo = compute_closure(spec)
     trans = canonical_transversal(clo)
-    dispatch = build_dispatch(clo, trans, spec.signature)
+    dispatch = build_dispatch(clo, trans)
     counts = {}
     for i in range(40_000):
         alg = realize(dispatch, sample_mfamily(trans, 2, mix(4096, i)))
@@ -269,12 +270,12 @@ def test_criterion_11_dispatch_order_invariance():
             parse_system(text, name=name)
         clo = compute_closure(spec)
         trans = canonical_transversal(clo)
-        baseline_dispatch = build_dispatch(clo, trans, spec.signature)
+        baseline_dispatch = build_dispatch(clo, trans)
         fams = [sample_mfamily(trans, 5, mix(55, i)) for i in range(3)]
         baselines = [realize(baseline_dispatch, f) for f in fams]
         for trial in range(100):
-            shuffled = build_dispatch(clo, trans, spec.signature,
-                                      order_rng=random.Random(trial))
+            rules = oracle_dispatch_rules(clo, trans, random.Random(trial))
+            shuffled = DispatchTable(spec, trans, rules)
             assert [realize(shuffled, f) for f in fams] == baselines
     print("CRITERION 11: PASS (100 randomized dispatch-search orders produce "
           "identical realized algebras on both systems)")

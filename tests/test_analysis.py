@@ -2,6 +2,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,13 +20,13 @@ from maltkit.terms import LinearTerm, parse_system, required_variable_count
 
 from oracles import (oracle_canonical_transversal, oracle_class_infos,
                      oracle_symmetry_group, orbit_partition_bruteforce,
-                     small_systems)
+                     render_index, small_systems)
 
 SYSTEMS_DIR = Path(__file__).resolve().parent.parent / "src" / "maltkit" / "systems"
 
 
 def render(closure, t):
-    return closure.universe.render(closure.universe.index_of(t))
+    return render_index(closure.universe, closure.universe.index_of(t))
 
 
 # ---------------------------------------------------------------------------
@@ -161,18 +162,17 @@ def test_class_infos_rejects_unsatisfiable_closure():
         class_infos(compute_closure(spec))
 
 
-def test_roots_and_members_follow_parent_chains():
+def test_class_members_group_a_given_roots_array():
     spec = builtin_system("maltsev")
-    clo = ClosurePartition(spec, TermUniverse(spec.signature, 3))
-    for i, j in ((5, 6), (4, 5), (3, 4)):  # parent chain 6 -> 5 -> 4 -> 3
-        clo.union(i, j)
-    assert clo.parent[3:7] == [3, 3, 4, 5]
-    roots = list(range(clo.universe.size))
-    roots[4:7] = [3, 3, 3]
-    assert clo.roots().tolist() == roots
+    universe = TermUniverse(spec.signature, 3)
+    roots = np.arange(universe.size)
+    roots[4:7] = 3
+    clo = ClosurePartition(spec, universe, roots)
+    assert clo.roots() is roots and not roots.flags.writeable
     members = clo.class_members()
-    assert list(members) == sorted(set(roots))
+    assert list(members) == sorted(set(roots.tolist()))
     assert members[3] == [3, 4, 5, 6] and members[7] == [7]
+    assert sum(map(len, members.values())) == universe.size
 
 
 # ---------------------------------------------------------------------------

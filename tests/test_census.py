@@ -299,7 +299,7 @@ def test_census_vectorized_matches_checkers():
         engine = CensusEngine(spec)
         clo = compute_closure(spec)
         trans = canonical_transversal(clo)
-        dispatch = build_dispatch(clo, trans, spec.signature)
+        dispatch = build_dispatch(clo, trans)
         report = run(engine, spec, n, samples, seed, props)
         counts = {row.property: row.successes for row in report.rows}
         parsed = parse_properties(props, spec.signature, n)

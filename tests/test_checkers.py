@@ -62,7 +62,7 @@ def sampled(name, n, seed, *args):
     spec = builtin_system(name, *args)
     clo = compute_closure(spec)
     trans = canonical_transversal(clo)
-    dispatch = build_dispatch(clo, trans, spec.signature)
+    dispatch = build_dispatch(clo, trans)
     return realize(dispatch, sample_mfamily(trans, n, seed))
 
 

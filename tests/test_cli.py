@@ -59,6 +59,15 @@ def test_analyze_unsatisfiable(tmp_path, capsys):
     assert "unsatisfiable" in captured.err
 
 
+def test_analyze_system_without_identities(tmp_path, capsys):
+    # no seed pairs: every term is its own class
+    p = tmp_path / "free.mlt"
+    p.write_text("signature f/2\n")
+    assert main(["analyze", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "not idempotent" in err
+
+
 def test_analyze_unsatisfiable_witness_names_x_and_its_class(tmp_path, capsys):
     p = tmp_path / "bad.mlt"
     p.write_text("signature g/2, h/2\nidentity g(x,y) = h(x,y)\n"

@@ -1,6 +1,7 @@
 import itertools
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,7 +12,7 @@ from maltkit.closure import (checked_closure, compute_closure, entails,
 from maltkit.errors import BudgetError, DomainError
 from maltkit.terms import LinearTerm, parse_system, substitute
 
-from oracles import oracle_closure_parent
+from oracles import oracle_closure_roots, render_index
 
 SYSTEMS_DIR = Path(__file__).resolve().parent.parent / "src" / "maltkit" / "systems"
 
@@ -58,7 +59,7 @@ def test_cmaltsev_partition_golden(cmaltsev_spec, cmaltsev_closure):
     uni = clo.universe
     got = {}
     for root, members in clo.class_members().items():
-        got[root] = {uni.render(i) for i in members}
+        got[root] = {render_index(uni, i) for i in members}
     expected = {frozenset(m) for m, _ in EXPECTED_CLASSES}
     assert {frozenset(m) for m in got.values()} == expected
     assert len(got) == 12
@@ -71,7 +72,7 @@ def test_cmaltsev_essential_vars(cmaltsev_spec, cmaltsev_closure):
     names = {1: "x", 2: "y", 3: "z"}
     by_members = {}
     for info in infos.values():
-        mem = frozenset(uni.render(i)
+        mem = frozenset(render_index(uni, i)
                         for i in info.members)
         by_members[mem] = {names[v] for v in info.essential_vars}
     for members, ess in EXPECTED_CLASSES:
@@ -203,8 +204,8 @@ def test_closure_is_substitution_closed(small_systems):
                 t = uni.term_at(other)
                 for gamma_vals in itertools.product(range(1, m + 1), repeat=m):
                     gamma = {v: gamma_vals[v - 1] for v in range(1, m + 1)}
-                    assert clo.find(uni.index_of(substitute(rep, gamma))) == \
-                        clo.find(uni.index_of(substitute(t, gamma)))
+                    assert clo.class_of(substitute(rep, gamma)) == \
+                        clo.class_of(substitute(t, gamma))
 
 
 def test_closure_permutation_invariance(small_systems):
@@ -216,7 +217,7 @@ def test_closure_permutation_invariance(small_systems):
             gamma = {v: perm[v - 1] for v in range(1, uni.m + 1)}
             image_roots = set()
             for root, members in clo.class_members().items():
-                imgs = {clo.find(uni.index_of(substitute(uni.term_at(i), gamma)))
+                imgs = {clo.class_of(substitute(uni.term_at(i), gamma))
                         for i in members}
                 assert len(imgs) == 1
                 image_roots.add(imgs.pop())
@@ -231,16 +232,39 @@ def test_closure_monotone_in_identities(maltsev_spec):
     base = compute_closure(maltsev_spec)
     more = compute_closure(richer)
     for _, members in base.class_members().items():
-        roots = {more.find(i) for i in members}
+        roots = set(more.roots()[members].tolist())
         assert len(roots) == 1
 
 
 @pytest.mark.parametrize("path", sorted(SYSTEMS_DIR.glob("*.mlt")), ids=lambda p: p.stem)
-def test_closure_seed_pairs_match_oracle(path, monkeypatch):
-    # the seed pairs through renamed_indices, unioned in the oracle's order,
-    # leave the very same parent list; an empty cache keeps find's path
-    # compression by earlier tests out of it
-    monkeypatch.setattr(closure, "_cache", {})
+def test_closure_seed_pairs_match_oracle(path):
+    # hooking and pointer jumping over the seed pairs leaves the roots of
+    # a union-find that keeps the smaller root: each class's least member
     spec = parse_system(path.read_text(), name=path.stem)
     clo = compute_closure(spec)
-    assert clo.parent == oracle_closure_parent(spec, clo.m)
+    assert clo.roots().tolist() == oracle_closure_roots(spec, clo.m)
+
+
+def test_cached_closure_is_read_only(monkeypatch):
+    """Every reader of a cached closure leaves its roots as they were:
+    read-only and equal to those of a fresh build."""
+    from maltkit.analysis import canonical_transversal, class_infos
+    from maltkit.factory import build_dispatch
+    spec = parse_system((SYSTEMS_DIR / "hagemann-mitschke-3.mlt").read_text())
+    clo = compute_closure(spec)
+    before = clo.roots().copy()
+    t = LinearTerm.app(0, (1, 2, 2))
+    clo.class_of(t)
+    entails(clo, t, LinearTerm.var(1))
+    validate_assumptions(spec)
+    class_infos(clo)
+    build_dispatch(clo, canonical_transversal(clo))
+    assert compute_closure(spec) is clo
+    roots = clo.roots()
+    assert not roots.flags.writeable
+    with pytest.raises(ValueError):
+        roots[0] = 1
+    monkeypatch.setattr(closure, "_cache", {})
+    fresh = compute_closure(spec)
+    assert fresh is not clo
+    assert np.array_equal(roots, before) and np.array_equal(fresh.roots(), before)

@@ -14,15 +14,15 @@ from maltkit.analysis import (SymmetryGroup, Transversal, TransversalEntry,
 from maltkit.closure import compute_closure
 from maltkit.errors import BudgetError, DomainError, ParseError
 from maltkit import factory
-from maltkit.factory import (FiniteAlgebra, OrbitIndex, TablePlan,
+from maltkit.factory import (DispatchTable, FiniteAlgebra, OrbitIndex, TablePlan,
                              algebra_from_json, algebra_to_json,
                              build_dispatch, draw_values, enumerate_models,
-                             injective_blocks, mix,
-                             orbit_index, patterns_of_arity, realize,
+                             injective_blocks, mix, orbit_index, realize,
                              sample_mfamily, validate_model)
 from maltkit.library import builtin_system
 from maltkit.terms import LinearTerm, parse_system
-from oracles import extract_mfamily, oracle_orbit_codes, oracle_plan_symbols
+from oracles import (extract_mfamily, oracle_dispatch_rules, oracle_orbit_codes,
+                     oracle_plan_symbols, patterns_of_arity)
 
 SYSTEMS_DIR = Path(__file__).resolve().parent.parent / "src" / "maltkit" / "systems"
 
@@ -31,7 +31,7 @@ SYSTEMS_DIR = Path(__file__).resolve().parent.parent / "src" / "maltkit" / "syst
 def maltsev_setup(maltsev_spec):
     clo = compute_closure(maltsev_spec)
     trans = canonical_transversal(clo)
-    dispatch = build_dispatch(clo, trans, maltsev_spec.signature)
+    dispatch = build_dispatch(clo, trans)
     return maltsev_spec, clo, trans, dispatch
 
 
@@ -39,7 +39,7 @@ def maltsev_setup(maltsev_spec):
 def cmaltsev_setup(cmaltsev_spec):
     clo = compute_closure(cmaltsev_spec)
     trans = canonical_transversal(clo)
-    dispatch = build_dispatch(clo, trans, cmaltsev_spec.signature)
+    dispatch = build_dispatch(clo, trans)
     return cmaltsev_spec, clo, trans, dispatch
 
 
@@ -78,9 +78,20 @@ def test_dispatch_order_invariance(maltsev_setup, cmaltsev_setup):
         fam = sample_mfamily(trans, 5, mix(123, 0))
         baseline = realize(dispatch, fam)
         for trial in range(100):
-            rng = random.Random(trial)
-            shuffled = build_dispatch(clo, trans, spec.signature, order_rng=rng)
-            assert realize(shuffled, fam) == baseline
+            rules = oracle_dispatch_rules(clo, trans, random.Random(trial))
+            assert realize(DispatchTable(spec, trans, rules), fam) == baseline
+
+
+@pytest.mark.parametrize("path", sorted(SYSTEMS_DIR.glob("*.mlt")), ids=lambda p: p.stem)
+def test_dispatch_rules_match_search_oracle(path):
+    """The rules read off the class arrays are the search's first hits,
+    symbol by symbol and pattern by pattern in the same order."""
+    spec = parse_system(path.read_text(), name=path.stem)
+    clo = compute_closure(spec)
+    trans = canonical_transversal(clo)
+    got, want = build_dispatch(clo, trans).rules, oracle_dispatch_rules(clo, trans)
+    assert [(sym, list(rules.items())) for sym, rules in got.items()] == \
+        [(sym, list(rules.items())) for sym, rules in want.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +141,7 @@ def test_bijection_round_trip(seed, n):
     spec = builtin_system("maltsev")
     clo = compute_closure(spec)
     trans = canonical_transversal(clo)
-    dispatch = build_dispatch(clo, trans, spec.signature)
+    dispatch = build_dispatch(clo, trans)
     fam = sample_mfamily(trans, n, seed)
     alg = realize(dispatch, fam)
     assert extract_mfamily(trans, alg, spec=spec) == fam

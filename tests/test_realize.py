@@ -14,10 +14,10 @@ from maltkit import checkers
 from maltkit.analysis import canonical_transversal
 from maltkit.census import CensusEngine, _minority_symbolic, minority_pair_probability
 from maltkit.closure import compute_closure
-from maltkit.factory import (FiniteAlgebra, build_dispatch, draw_values, mix,
-                             realize, sample_mfamily)
+from maltkit.factory import (DispatchTable, FiniteAlgebra, build_dispatch, draw_values,
+                             mix, realize, sample_mfamily)
 from maltkit.terms import parse_system
-from oracles import oracle_minority_symbolic, pattern_of
+from oracles import oracle_dispatch_rules, oracle_minority_symbolic, pattern_of
 
 SYSTEMS_DIR = Path(__file__).resolve().parent.parent / "src" / "maltkit" / "systems"
 
@@ -120,9 +120,9 @@ def test_plan_matches_reference_realizer(name):
     clo = compute_closure(spec)
     trans = canonical_transversal(clo)
     # each dispatch table compiles its own plan
-    dispatches = [build_dispatch(clo, trans, spec.signature),
-                  build_dispatch(clo, trans, spec.signature,
-                                 order_rng=random.Random(name))]
+    dispatches = [build_dispatch(clo, trans),
+                  DispatchTable(spec, trans,
+                                oracle_dispatch_rules(clo, trans, random.Random(name)))]
     for n in (1, 2, 3, 5):
         seed = mix(17, n)
         want = reference_realize(dispatches[0], sample_mfamily(trans, n, seed))

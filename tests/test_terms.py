@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from maltkit.errors import ParseError
-from maltkit.factory import patterns_of_arity
 from maltkit.terms import (Identity, LinearTerm, Signature, SystemSpec,
                            kernel_code, parse_system,
                            render_system, render_term,
                            required_variable_count, substitute,
                            variable_names)
-from oracles import pattern_of
+from oracles import pattern_of, patterns_of_arity
 
 
 def test_parse_simple():
