@@ -17,7 +17,12 @@ calls, and the median over the samples is recorded in ms:
 - census.realize_np: realizing one sample's tables from its draws;
 - census.subalg2, census.subalg3, census.cross: what a census pays for
   the property on a sample whose tables no property has realized yet (a
-  fresh sample evaluator on the draws).
+  fresh sample evaluator on the draws, which realizing the tables has
+  already made in full);
+- census.sample: what a census pays for one sample deciding those three
+  properties from its seed, the draws made inside the timed call;
+- census.draws_made: not a time but the mean share of a sample's draws
+  made by then.
 
 Each compile case builds the orbit index (factory.orbit_index) and then
 the gather plan (factory.TablePlan) once in a fresh process, as a census
@@ -115,6 +120,21 @@ def time_case(args, n) -> dict:
     for name in CENSUS:
         out["census." + name] = median_ms(
             lambda flat: _SampleEval(ctx, flat, {}).evaluate(name), flats)
+
+    def census_sample(seed):
+        draws = draw_values(seed, n, ctx.total_draws)
+        ev = _SampleEval(ctx, draws, {})
+        for name in CENSUS:
+            ev.evaluate(name)
+        return draws
+
+    seeds = [mix(SEED, j) for j in range(SAMPLES)]
+    out["census.sample"] = median_ms(census_sample, seeds)
+    # an array of draws, as draw_values returned before draws were made
+    # as far as read, has made them all
+    out["census.draws_made"] = statistics.mean(
+        getattr(census_sample(seed), "made", ctx.total_draws) / ctx.total_draws
+        for seed in seeds)
     return out
 
 
@@ -227,9 +247,11 @@ def main():
         "what": "per-sample median ms, best of "
                 f"{REPEATS} calls per sample, {SAMPLES} samples, seeds "
                 f"mix({SEED}, j): the checkers' table evaluators on realized "
-                "tables, and census.* the census path on a sample's draws; "
-                "automorphism.extend_calls is no time but the mean number "
-                "of checkers._extend calls per sample",
+                "tables, census.* the census path on a sample's draws, and "
+                "census.sample one sample's census properties from its seed, "
+                "draws included; automorphism.extend_calls is no time but the "
+                "mean number of checkers._extend calls per sample, and "
+                "census.draws_made the mean share of a sample's draws made",
         "cases": [case_name(system, n) for system, n in CASES],
         "compile_what": "per-n compile in a fresh process: *_ms the wall time "
                         "of the first factory.orbit_index and TablePlan build, "

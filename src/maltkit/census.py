@@ -4,7 +4,9 @@ models, with exact finite-n or asymptotic theory comparison.
 Determinism contract: sample j uses seed mix(master_seed, j) and its
 draws are consumed in the fixed orbit-key order; samples 0..K-1 are
 evaluated in order, so the report depends only on (system, n, K, seed,
-properties).
+properties).  A sample's draws are made in stream order only as far as
+its decisions read them (factory.Draws), and each equals the draw at its
+position in the whole stream, so reading fewer changes no value.
 """
 
 from __future__ import annotations

@@ -92,11 +92,11 @@ def _closure_np(tabs, n: int, seed) -> np.ndarray:
     """The subuniverse generated by seed, sorted."""
     member = np.zeros(n, dtype=bool)
     member[list(seed)] = True
-    S = np.flatnonzero(member)
+    S = member.nonzero()[0]
     while len(S) < n:
         for tab, d in tabs:
             member[tab[_block([S] * d, n)]] = True
-        new = np.flatnonzero(member)
+        new = member.nonzero()[0]
         if len(new) == len(S):
             break
         S = new
@@ -207,14 +207,14 @@ def _extend(tabs, n: int, gens, imgs) -> np.ndarray:
     with these images is this map, so _is_automorphism decides."""
     phi = np.full(n, -1, dtype=np.int64)
     phi[gens] = imgs
-    S = np.flatnonzero(phi >= 0)
+    S = (phi >= 0).nonzero()[0]
     while len(S) < n:
         for tab, d in tabs:
             src = tab[_block([S] * d, n)]
             new = phi[src] < 0
             if new.any():
                 phi[src[new]] = tab[_block([phi[S]] * d, n)[new]]
-        reached = np.flatnonzero(phi >= 0)
+        reached = (phi >= 0).nonzero()[0]
         if len(reached) == len(S):
             break
         S = reached

@@ -263,10 +263,49 @@ def orbit_index(transversal: Transversal, n: int) -> OrbitIndex:
     return OrbitIndex(transversal, n)
 
 
-def draw_values(seed: int, n: int, count: int) -> np.ndarray:
-    """The raw uniform draws for one sample, as a fixed-order array."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    return rng.integers(0, n, size=count, dtype=np.int64)
+class Draws:
+    """One sample's raw uniform draws, the stream
+    Generator(PCG64(seed)).integers(0, n, size=count, dtype=int64),
+    generated in order only as far as it is read.  draws[idx] first extends
+    the stream past the largest position in idx, so a negative position
+    (a variable cell of TablePlan, whose value is overwritten) makes
+    nothing; np.asarray(draws) completes it, and so does a read past half
+    of it, after which reads need no largest position.  The pieces of one
+    generator's stream concatenate exactly to the one-shot stream, so
+    every value read is the one-shot draw at its position."""
+
+    def __init__(self, seed: int, n: int, count: int):
+        self._rng = np.random.Generator(np.random.PCG64(seed))
+        self.n = n
+        self.made = 0  # draws generated so far, the positions below it
+        self._values = np.empty(count, dtype=np.int64)
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def _extend(self, stop: int) -> None:
+        if stop > self.made:
+            if 2 * stop > len(self._values):
+                stop = len(self._values)
+            self._values[self.made:stop] = self._rng.integers(
+                0, self.n, size=stop - self.made, dtype=np.int64)
+            self.made = stop
+
+    def __getitem__(self, idx) -> np.ndarray:
+        if self.made < len(self._values):
+            idx = np.asarray(idx)
+            if idx.size:
+                self._extend(int(idx.max()) + 1)
+        return self._values[idx]
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        self._extend(len(self._values))
+        return np.array(self._values, dtype=dtype, copy=copy)
+
+
+def draw_values(seed: int, n: int, count: int) -> Draws:
+    """The raw uniform draws for one sample, in a fixed order."""
+    return Draws(seed, n, count)
 
 
 def sample_mfamily(transversal: Transversal, n: int, seed: int) -> MFamily:
@@ -275,7 +314,7 @@ def sample_mfamily(transversal: Transversal, n: int, seed: int) -> MFamily:
     if n < 1:
         raise DomainError("n must be positive")
     total = orbit_index(transversal, n).total
-    return MFamily(n, tuple(draw_values(seed, n, total).tolist()))
+    return MFamily(n, tuple(np.asarray(draw_values(seed, n, total)).tolist()))
 
 
 def check_cells(sig: Signature, n: int) -> None:
@@ -294,7 +333,10 @@ class TablePlan:
     variable entry fills, with the argument each one selects.  At those
     cells pos holds the argument minus n, a position counted from the end
     of the layout, so flat[pos] stays in range and pos < 0 marks them.  A
-    table is flat[pos] with those cells overwritten."""
+    table is flat[pos] with those cells overwritten.  flat is an array or
+    a sample's Draws: a negative position reads a value that is never used,
+    so it makes no draw, and tables(flat) completes the stream once before
+    it gathers whole tables."""
 
     def __init__(self, dispatch: DispatchTable, n: int):
         sig = dispatch.spec.signature
@@ -348,15 +390,16 @@ class TablePlan:
                 [np.zeros((2, 0), dtype=np.int64)] + sum(var_cells, []), axis=1)
             self.symbols.append((pos, var_idx, var_arg, d))
 
-    def _layout(self, flat: np.ndarray) -> np.ndarray:
-        """flat, padded to n entries if shorter, so every pos is in range."""
+    def _layout(self, flat):
+        """flat, padded to n entries if shorter, so every pos is in range;
+        padding completes a Draws stream, which is then shorter than n."""
         if len(flat) >= self.n:
             return flat
         return np.concatenate([flat, np.zeros(self.n - len(flat), dtype=np.int64)])
 
-    def tables(self, flat: np.ndarray) -> list[tuple[np.ndarray, int]]:
+    def tables(self, flat) -> list[tuple[np.ndarray, int]]:
         """[(table, arity)] per symbol for the family laid out in flat."""
-        flat = self._layout(flat)
+        flat = self._layout(np.asarray(flat))
         out = []
         for pos, var_idx, var_arg, d in self.symbols:
             table = flat[pos]
@@ -364,9 +407,10 @@ class TablePlan:
             out.append((table, d))
         return out
 
-    def cells(self, flat: np.ndarray) -> list[tuple["CellView", int]]:
+    def cells(self, flat) -> list[tuple["CellView", int]]:
         """[(cell view, arity)] per symbol: the tables of tables(flat),
-        each cell gathered only when it is read."""
+        each cell gathered, and each draw behind it made, only when it is
+        read."""
         flat = self._layout(flat)
         return [(CellView(pos, flat, self.n), d) for pos, _, _, d in self.symbols]
 
@@ -378,9 +422,10 @@ class TablePlan:
 class CellView:
     """One sample's table of one symbol, read by flat cell index: view[idx]
     is flat[pos[idx]] with the variable entry's cells, pos < 0, answered
-    from pos (see TablePlan)."""
+    from pos (see TablePlan); on a sample's Draws, flat[pos[idx]] makes
+    the draws up to the largest position read, none for pos < 0."""
 
-    def __init__(self, pos: np.ndarray, flat: np.ndarray, n: int):
+    def __init__(self, pos: np.ndarray, flat, n: int):
         self.pos = pos
         self.flat = flat
         self.n = n

@@ -6,6 +6,7 @@ import math
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -362,6 +363,82 @@ def test_idemprimal_census_realizes_each_sample_once(monkeypatch):
     run(CensusEngine(spec), spec, 6, 50, 8,
         ("subalg2", "subalgGT1", "automorphism", "cross", "idemprimal"))
     assert len(calls) == 50
+
+
+# ---------------------------------------------------------------------------
+# draws made only as far as a sample reads them
+
+
+LAZY_PROPERTIES = ("subalg2", "subalg3", "cross", "fixedB=0+1", "subalgGT1",
+                   "idemprimal")
+
+
+@pytest.mark.parametrize("path", sorted(SYSTEMS_DIR.glob("*.mlt")), ids=lambda p: p.stem)
+def test_lazy_draws_census_equals_eager_draws(path, monkeypatch):
+    """On every shipped fixture the census CSV is the same when each
+    sample's draws are made as far as read and when they are all made up
+    front; the properties that read few draws come first."""
+    spec = parse_system(path.read_text(), path.stem)
+    engine = CensusEngine(spec)
+    ternary = any(ar == 3 for _, ar in spec.signature.symbols)
+    props = ("minority2",) * ternary + LAZY_PROPERTIES
+    lazy = [run(engine, spec, n, 30, 5, props) for n in (4, 6)]
+    monkeypatch.setattr(census, "draw_values",
+                        lambda seed, n, count: np.asarray(draw_values(seed, n, count)))
+    assert csv_text(lazy) == csv_text([run(engine, spec, n, 30, 5, props) for n in (4, 6)])
+
+
+@pytest.mark.parametrize("system, n", [(("near-unanimity", 5), 6), (("majority",), 5),
+                                       (("hagemann-mitschke", 3), 8), (("olsak",), 4)])
+def test_plan_reads_no_draw_it_has_not_made(system, n):
+    """With the storage of the draws not yet made filled with a value out
+    of range, the plan's tables and cell views, read in any order, equal
+    those of the one-shot draws: a variable cell's position reads such a
+    value, which is overwritten, and every other read makes its draws
+    first."""
+    ctx = CensusEngine(builtin_system(*system)).context(n)
+    plan, rng = ctx.realizer(), np.random.default_rng(n)
+
+    def poisoned(seed):
+        draws = draw_values(seed, n, ctx.total_draws)
+        draws._values[:] = 2 ** 40
+        return draws
+
+    partial = 0  # reads answered while part of the stream was not made
+    for j in range(5):
+        seed = mix(17, j)
+        want = plan.tables(np.asarray(draw_values(seed, n, ctx.total_draws)))
+        got = plan.tables(poisoned(seed))
+        assert all(np.array_equal(a, b) for (a, _), (b, _) in zip(got, want))
+        draws = poisoned(seed)
+        views = plan.cells(draws)
+        for _ in range(40):
+            s = int(rng.integers(len(views)))
+            # cells below a mostly low draw position, the variable ones
+            # (pos < 0) among them, so most reads leave the stream partial
+            pos = views[s][0].pos
+            cells = np.flatnonzero(pos < ctx.total_draws * rng.random() ** 8)
+            idx = rng.choice(cells, size=int(rng.integers(1, 50)))
+            assert np.array_equal(views[s][0][idx], want[s][0][idx]), (system, j, s)
+            partial += draws.made < len(draws)
+    assert partial >= 20
+
+
+def test_subset_and_cross_census_makes_few_draws(monkeypatch):
+    """A NU-5 census at n=14 deciding subalg2, subalg3 and cross makes at
+    most a fifth of each sample's p(14) draws."""
+    made = []
+
+    def recorded(seed, n, count):
+        made.append(draw_values(seed, n, count))
+        return made[-1]
+    monkeypatch.setattr(census, "draw_values", recorded)
+    spec = builtin_system("near-unanimity", 5)
+    engine = CensusEngine(spec)
+    run(engine, spec, 14, 40, 3, ("subalg2", "subalg3", "cross"))
+    total = engine.context(14).total_draws
+    assert len(made) == 40
+    assert max(draws.made for draws in made) <= 0.2 * total
 
 
 # (system, n): pair and triple arrays wider than the first column block;

@@ -108,10 +108,45 @@ def test_mix_is_splitmix64_step():
 
 
 def test_draw_values_deterministic():
-    a = draw_values(987, 8, 100)
-    b = draw_values(987, 8, 100)
+    a = np.asarray(draw_values(987, 8, 100))
+    b = np.asarray(draw_values(987, 8, 100))
     assert np.array_equal(a, b)
     assert a.min() >= 0 and a.max() < 8
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 14, 16, 63, 64])
+def test_draws_are_the_one_shot_stream_read_in_any_order(n):
+    """Draws read in any order, in pieces cut at odd or even points, with
+    negative positions mixed in, equal the one-shot stream at every
+    position >= 0, and the stream is made only up to the largest position
+    read, or whole once a read passes half of it; np.asarray completes it
+    to the same stream."""
+    rng = np.random.default_rng(n)
+    for count in sorted({max(n - 1, 0), 2 * n + 1, 64 * n, 64 * n + 3}):
+        seed = mix(29, count)
+        want = np.random.Generator(np.random.PCG64(seed)).integers(
+            0, n, size=count, dtype=np.int64)
+        draws, made = draw_values(seed, n, count), 0
+        assert len(draws) == count
+        # negative positions index the last min(n, count) values, as a
+        # table plan's variable cells do on a layout of at least n draws;
+        # the bounds of the reads mostly stay low, so the stream grows in
+        # many pieces
+        for size in rng.integers(1, 40, size=16):
+            top = int(count * rng.random() ** 4) + 1
+            idx = rng.integers(-min(n, count), top, size=size) if count else \
+                np.zeros(0, dtype=np.int64)
+            got = draws[idx]
+            made = max(made, int(idx.max(initial=-1)) + 1)
+            made = count if 2 * made > count else made
+            assert draws.made == made, (n, count)
+            assert np.array_equal(got[idx >= 0], want[idx[idx >= 0]]), (n, count)
+        negative = -np.arange(1, min(n, count) + 1)
+        draws[negative]
+        assert draws.made == made
+        assert np.array_equal(np.asarray(draws), want)
+        assert draws.made == count
+        assert np.array_equal(np.asarray(draw_values(seed, n, count)), want)
 
 
 # ---------------------------------------------------------------------------
